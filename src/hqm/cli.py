@@ -293,8 +293,11 @@ def cmd_evolve(cfg: dict, out_dir: Path, args) -> int:
         if n0 == 0:
             raise ConfigError("initial state is identically zero")
         psi0 = (1.0 / n0) * psi0
-    problem = EvolutionProblem(spec, psi0, cfg["t0"], cfg["t1"], cfg["dt"],
-                               require_normalized=False)
+    try:
+        problem = EvolutionProblem(spec, psi0, cfg["t0"], cfg["t1"], cfg["dt"],
+                                   require_normalized=False)
+    except ValueError as exc:  # time grid: dt <= 0, t1 <= t0, non-integer step count
+        raise ConfigError(str(exc)) from exc
     result = evolve(problem)
     write_trajectory_csv(result.trajectory, out_dir / "trajectory.csv", stride=cfg["stride"])
     write_continuity_csv(result.report, out_dir / "continuity.csv")

@@ -3,9 +3,11 @@
 The equation reads hbar * dPsi/dt * i = H Psi with the imaginary unit on the
 RIGHT of the time derivative (i Psi != Psi i), so the explicit form integrated
 here is dPsi/dt = -(1/hbar) (H Psi) i, a general real-linear right-hand side.
-Classic fourth-order Runge-Kutta over that right side is the workhorse;
-split-step complex FFT tricks do not apply because right multiplication by i
-is not complex-linear.
+Classic fourth-order Runge-Kutta over that right side is the workhorse.  H
+commutes with right multiplication by every constant quaternion, so writing
+Psi = w0 + j w1 with complex w0, w1 turns the equation into an ordinary
+complex Schrodinger equation for (w0, w1), where U = V + W j acts as a 2x2
+block; split-step methods therefore apply, though none is implemented here.
 
 Probability bookkeeping follows the continuity equation
 d(rho)/dt + dJ/dx = g with rho = Psi conj(Psi),
@@ -31,13 +33,22 @@ import numpy as np
 
 from .errors import GridMismatchError, InstabilityError
 from .hilbert import Grid, QFunction, norm
-from .operators import QOperator, HamiltonianSpec, hamiltonian, momentum_pi, _DERIVATIVES
+from .operators import (
+    QOperator,
+    HamiltonianSpec,
+    hamiltonian,
+    momentum_pi,
+    _DERIVATIVES,
+    _I_ARR,
+)
 from .quaternion import (
+    I,
     Quaternion,
     UnitQuaternion,
     left_mult_matrix,
     qconj,
     qmul,
+    right_mult_matrix,
 )
 
 __all__ = [
@@ -57,27 +68,21 @@ __all__ = [
     "angle_addition_deviation",
 ]
 
-_I_ARR = np.array([0.0, 1.0, 0.0, 0.0])
-
-
 class StabilityWarning(UserWarning):
     """Time step exceeds the explicit-integrator stability estimate."""
 
 
-def _max_stable_dt(spec: HamiltonianSpec) -> float:
+def _max_stable_dt(spec: HamiltonianSpec, dt: float | None = None) -> float:
+    """Explicit stability estimate 2m/(hbar k_max^2); warns if a given dt reaches it."""
     k_max = max(spec.grid.n_points // 2, 1)
-    return 2.0 * spec.mass / (spec.hbar * k_max**2)
-
-
-def _check_cfl(spec: HamiltonianSpec, dt: float) -> None:
-    k_max = max(spec.grid.n_points // 2, 1)
-    if spec.hbar * dt * k_max**2 / (2.0 * spec.mass) >= 1.0:
+    limit = 2.0 * spec.mass / (spec.hbar * k_max**2)
+    if dt is not None and spec.hbar * dt * k_max**2 / (2.0 * spec.mass) >= 1.0:
         warnings.warn(
-            f"dt={dt:.3e} is above the stability estimate "
-            f"{_max_stable_dt(spec):.3e} for this grid",
+            f"dt={dt:.3e} is above the stability estimate {limit:.3e} for this grid",
             StabilityWarning,
             stacklevel=3,
         )
+    return limit
 
 
 def _rhs(spec: HamiltonianSpec, deriv: str):
@@ -105,7 +110,7 @@ def step(spec: HamiltonianSpec, psi: QFunction, dt: float, *, deriv: str = "spec
         raise ValueError("dt must be positive")
     if psi.grid != spec.grid:
         raise GridMismatchError("state and Hamiltonian live on different grids")
-    _check_cfl(spec, dt)
+    _max_stable_dt(spec, dt)
     out = _rk4_step(_rhs(spec, deriv), psi.values, dt)
     if not np.all(np.isfinite(out)):
         raise InstabilityError("non-finite values after one step", 0.5 * _max_stable_dt(spec))
@@ -238,7 +243,7 @@ def evolve(problem: EvolutionProblem) -> EvolveResult:
     """Integrate the problem and verify the continuity equation along the way."""
     spec = problem.spec
     grid = spec.grid
-    _check_cfl(spec, problem.dt)
+    _max_stable_dt(spec, problem.dt)
     f = _rhs(spec, problem.deriv)
     n_steps = problem.n_steps
     times = problem.t0 + problem.dt * np.arange(n_steps + 1)
@@ -335,6 +340,12 @@ def dyson_propagator(
     term, the only form in which a propagator independent of the state exists.
     Consequently it converges to the true evolution on complex initial data
     and intentionally deviates on quaternionic initial data.
+
+    H does not depend on time, so level n of the quadrature tower at node j
+    is w_n[j] (H/hbar)^n, where w_n is the same trapezoid recurrence run on
+    scalar weights.  The propagator is 1 + sum_n w_n[-1] (H/hbar)^n L((-i)^n):
+    one (4n)^3 matrix product per term and O((4n)^2) memory, instead of a
+    tower of n_quad matrices.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -346,18 +357,17 @@ def dyson_propagator(
     dt = (t1 - t0) / (n_quad - 1)
 
     total = np.eye(dim)
-    level_vals = np.broadcast_to(np.eye(dim), (n_quad, dim, dim)).copy()
+    weights = np.ones(n_quad)
+    power = h_scaled
     phase = Quaternion(1.0)
     minus_i = Quaternion(0.0, -1.0)
-    for _ in range(n_terms):
-        integrand = np.einsum("ab,jbc->jac", h_scaled, level_vals)
-        nxt = np.zeros_like(level_vals)
-        for j in range(1, n_quad):
-            nxt[j] = nxt[j - 1] + (0.5 * dt) * (integrand[j - 1] + integrand[j])
+    for level in range(1, n_terms + 1):
+        weights = np.concatenate(([0.0], np.cumsum((0.5 * dt) * (weights[:-1] + weights[1:]))))
+        if level > 1:
+            power = h_scaled @ power
         phase = phase * minus_i
-        left = np.kron(np.eye(grid.n_points), left_mult_matrix(phase))
-        total = total + nxt[-1] @ left
-        level_vals = nxt
+        # right factor kron(1_n, L(phase)), applied per node block
+        total += weights[-1] * (power.reshape(-1, 4) @ left_mult_matrix(phase)).reshape(dim, dim)
     return QOperator.from_matrix(grid, total, "dyson")
 
 
@@ -379,8 +389,10 @@ def short_time_propagator(
         raise ValueError("n_steps must be >= 1")
     grid = spec.grid
     dt = (t1 - t0) / n_steps
-    m = QOperator(grid, _rhs(spec, deriv)).matrix
-    dim = m.shape[0]
+    h = hamiltonian(spec, deriv).matrix
+    dim = h.shape[0]
+    # matrix of -(1/hbar)(H Psi) i: right-multiply each row's components by i
+    m = (-1.0 / spec.hbar) * (right_mult_matrix(I) @ h.reshape(-1, 4, dim)).reshape(dim, dim)
     factor = np.eye(dim)
     power = np.eye(dim)
     fact = 1.0

@@ -38,10 +38,11 @@ class NotSelfAdjointError(ValueError):
     def __init__(self, asymmetry: float, tol: float):
         self.asymmetry = asymmetry
         self.tol = tol
-        super().__init__(
-            f"operator is not self-adjoint: relative asymmetry {asymmetry:.3e} "
-            f"exceeds tolerance {tol:.3e}"
-        )
+        if asymmetry != asymmetry:
+            reason = f"relative asymmetry is NaN (non-finite entries), tolerance {tol:.3e}"
+        else:
+            reason = f"relative asymmetry {asymmetry:.3e} exceeds tolerance {tol:.3e}"
+        super().__init__(f"operator is not self-adjoint: {reason}")
 
 
 class InstabilityError(RuntimeError):

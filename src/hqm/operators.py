@@ -4,7 +4,10 @@ An operator here is any map closed under real scalar combinations of inputs;
 that covers left multiplication by quaternion functions, derivatives, and
 right multiplication by constant quaternions (which is real- but not
 quaternion-linear).  Every operator admits a dense (4n)x(4n) real matrix
-realization over stacked components, built lazily column by column.
+realization over stacked components, built lazily from impulse responses: one
+per stacked real component in general, and only the n real-unit impulses for
+the Hamiltonian, which commutes with right multiplication by constant
+quaternions, so its image of e_k u is its image of e_k times u.
 
 Because the quadrature weights are uniform, the adjoint with respect to the
 real inner product is exactly the matrix transpose.
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .hilbert import Grid, QFunction, inner
-from .quaternion import Quaternion, left_mult_matrix, qmul
+from .quaternion import I, J, K, ONE, Quaternion, left_mult_matrix, qmul, right_mult_matrix
 
 __all__ = [
     "QOperator",
@@ -64,6 +67,11 @@ def central_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 _DERIVATIVES = {"spectral": spectral_derivative, "central": central_derivative}
+
+_I_ARR = I.as_array()
+
+# Right multiplication by the basis units 1, i, j, k on the four components.
+_UNIT_RIGHT = np.stack([right_mult_matrix(u) for u in (ONE, I, J, K)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +169,20 @@ class QOperator:
         if self._matrix is None:
             with self._lock:
                 if self._matrix is None:
-                    dim = 4 * self.grid.n_points
-                    cols = np.empty((dim, dim))
-                    impulse = np.zeros((self.grid.n_points, 4))
-                    flat = impulse.ravel()
-                    for col in range(dim):
-                        flat[col] = 1.0
-                        cols[:, col] = self.apply_values(impulse).ravel()
-                        flat[col] = 0.0
-                    self._matrix = cols
+                    self._matrix = self._realize()
         return self._matrix
+
+    def _realize(self) -> np.ndarray:
+        """One column per stacked real component, each the image of its unit impulse."""
+        dim = 4 * self.grid.n_points
+        cols = np.empty((dim, dim))
+        impulse = np.zeros((self.grid.n_points, 4))
+        flat = impulse.ravel()
+        for col in range(dim):
+            flat[col] = 1.0
+            cols[:, col] = self.apply_values(impulse).ravel()
+            flat[col] = 0.0
+        return cols
 
     def adjoint(self) -> "QOperator":
         """Unique S with inner(T f, g) = inner(f, S g); the weighted transpose.
@@ -184,6 +196,26 @@ class QOperator:
         """Relative self-adjointness defect ||M - M^T||_F / max(1, ||M||_F)."""
         m = self.matrix
         return float(np.linalg.norm(m - m.T) / max(1.0, np.linalg.norm(m)))
+
+
+class _RightLinearOperator(QOperator):
+    """An operator with T(Psi q) = T(Psi) q for every constant quaternion q.
+
+    The column of the impulse e_k u (node k, basis unit u) is T(e_k) u, so
+    the n real-unit impulses e_k determine the whole realization.
+    """
+
+    def _realize(self) -> np.ndarray:
+        n = self.grid.n_points
+        images = np.empty((n, n, 4))  # images[k] = T(e_k)
+        impulse = np.zeros((n, 4))
+        for k in range(n):
+            impulse[k, 0] = 1.0
+            images[k] = self.apply_values(impulse)
+            impulse[k, 0] = 0.0
+        # entry (4r + a, 4k + c) is component a at node r of T(e_k) u_c
+        cols = np.einsum("cab,krb->rakc", _UNIT_RIGHT, images)
+        return cols.reshape(4 * n, 4 * n)
 
 
 def apply(T: QOperator, f: QFunction) -> QFunction:
@@ -278,11 +310,10 @@ def momentum_pi(spec: HamiltonianSpec, deriv: str = "spectral") -> QOperator:
     self-adjoint on the periodic grid and sends e^{ikx} to hbar k e^{ikx}.
     """
     d_a = _covariant_derivative(spec, deriv)
-    i_arr = np.array([0.0, 1.0, 0.0, 0.0])
     hbar = spec.hbar
 
     def action(v: np.ndarray) -> np.ndarray:
-        return -hbar * qmul(d_a(v), i_arr)
+        return -hbar * qmul(d_a(v), _I_ARR)
 
     return QOperator(spec.grid, action, "momentum")
 
@@ -291,6 +322,8 @@ def hamiltonian(spec: HamiltonianSpec, deriv: str = "spectral") -> QOperator:
     """H Psi = -(hbar^2/2m) (d/dx - A)((d/dx - A) Psi) + U Psi.
 
     Generally neither hermitian nor anti-hermitian once W or Im V is nonzero.
+    Derivatives and left multiplications commute with right multiplication by
+    constant quaternions, so the matrix is realized from n impulses.
     """
     d_a = _covariant_derivative(spec, deriv)
     potential = spec.potential_values()
@@ -299,7 +332,7 @@ def hamiltonian(spec: HamiltonianSpec, deriv: str = "spectral") -> QOperator:
     def action(v: np.ndarray) -> np.ndarray:
         return coef * d_a(d_a(v)) + qmul(potential, v)
 
-    return QOperator(spec.grid, action, "hamiltonian")
+    return _RightLinearOperator(spec.grid, action, "hamiltonian")
 
 
 # ---------------------------------------------------------------------------

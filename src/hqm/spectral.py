@@ -23,14 +23,10 @@ __all__ = ["SpectralResolution", "decompose", "project", "write_spectrum_csv"]
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first significant coordinate of each column positive (reproducibility)."""
-    out = vectors.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        cutoff = 1e-10 * np.max(np.abs(v))
-        idx = np.argmax(np.abs(v) > cutoff)
-        if v[idx] < 0:
-            out[:, col] = -v
-    return out
+    mag = np.abs(vectors)
+    first = np.argmax(mag > 1e-10 * np.max(mag, axis=0), axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +56,9 @@ class SpectralResolution:
         return (q @ (q.T @ values.ravel())).reshape(-1, 4)
 
     def reconstruction_matrix(self) -> np.ndarray:
-        dim = 4 * self.grid.n_points
-        out = np.zeros((dim, dim))
-        for lam, q in zip(self.eigenvalues, self.factors):
-            out += lam * (q @ q.T)
-        return out
+        """sum_k lambda_k Q_k Q_k^T as one product (Q lambda) Q^T over the stacked factors."""
+        q = np.hstack(self.factors)
+        return (q * np.repeat(self.eigenvalues, self.multiplicities)) @ q.T
 
     def eigenfunctions(self, k: int) -> list[QFunction]:
         """Orthonormal (unit inner norm) functions spanning the k-th eigenspace."""
@@ -82,12 +76,12 @@ def decompose(
 ) -> SpectralResolution:
     """Eigendecompose a self-adjoint operator into its spectral resolution.
 
-    Rejects inputs whose relative asymmetry exceeds selfadjoint_tol; adjacent
-    eigenvalues with |a - b| < cluster_tol * max(1, |a|, |b|) are merged into
-    one eigenspace.
+    Rejects inputs whose relative asymmetry exceeds selfadjoint_tol or is NaN
+    (non-finite matrix entries); adjacent eigenvalues with
+    |a - b| < cluster_tol * max(1, |a|, |b|) are merged into one eigenspace.
     """
     asym = T.asymmetry()
-    if asym > selfadjoint_tol:
+    if not asym <= selfadjoint_tol:  # a NaN asymmetry fails the contract too
         raise NotSelfAdjointError(asym, selfadjoint_tol)
     m = T.matrix
     sym = 0.5 * (m + m.T)

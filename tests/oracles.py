@@ -99,3 +99,99 @@ def split_step_propagate(psi0, v_samples, t1, dt, hbar=1.0, mass=1.0):
 def complex_expectation(psi, op_matrix, h):
     """Re <psi| O |psi> with the standard complex inner product and weight h."""
     return float(np.real(h * np.vdot(psi, op_matrix @ psi)))
+
+
+# ---------------------------------------------------------------------------
+# Dense operator forms: impulse-by-impulse realizations, explicit towers
+# ---------------------------------------------------------------------------
+
+_UNITS = np.eye(4)  # 1, i, j, k as component rows
+
+
+def impulse_matrix(action, n_points):
+    """(4n)x(4n) real matrix of a real-linear action, one unit impulse per column."""
+    dim = 4 * n_points
+    out = np.zeros((dim, dim))
+    for col in range(dim):
+        impulse = np.zeros(dim)
+        impulse[col] = 1.0
+        out[:, col] = np.asarray(action(impulse.reshape(n_points, 4))).ravel()
+    return out
+
+
+def n_impulse_matrix(action, n_points):
+    """Realization assuming T(e_k u) = T(e_k) u: n real-unit impulses, longhand products."""
+    out = np.zeros((4 * n_points, 4 * n_points))
+    for k in range(n_points):
+        impulse = np.zeros((n_points, 4))
+        impulse[k, 0] = 1.0
+        image = np.asarray(action(impulse))
+        for c, unit in enumerate(_UNITS):
+            column = np.array([naive_qmul(row, unit) for row in image])
+            out[:, 4 * k + c] = column.ravel()
+    return out
+
+
+def right_times_i(values):
+    """Every row of an (n, 4) component array multiplied by i from the right."""
+    return np.array([naive_qmul(row, _UNITS[1]) for row in values])
+
+
+def trapezoid_dyson_tower(h_matrix, hbar, t0, t1, n_terms, n_quad):
+    """Dyson series from the explicit (n_quad, 4n, 4n) trapezoid tower of each level.
+
+    Level n at node j is the trapezoid integral of (H/hbar) level_{n-1} up to
+    node j; its last node enters the sum times kron(1_n, L((-i)^n)).
+    """
+    dim = h_matrix.shape[0]
+    h_scaled = h_matrix / hbar
+    dt = (t1 - t0) / (n_quad - 1)
+    total = np.eye(dim)
+    level = np.broadcast_to(np.eye(dim), (n_quad, dim, dim)).copy()
+    phase = _UNITS[0]
+    for _ in range(n_terms):
+        integrand = np.einsum("ab,jbc->jac", h_scaled, level)
+        nxt = np.zeros_like(level)
+        for j in range(1, n_quad):
+            nxt[j] = nxt[j - 1] + 0.5 * dt * (integrand[j - 1] + integrand[j])
+        phase = np.array(naive_qmul(phase, -_UNITS[1]))
+        left = np.array([naive_qmul(phase, unit) for unit in _UNITS]).T
+        total = total + nxt[-1] @ np.kron(np.eye(dim // 4), left)
+        level = nxt
+    return total
+
+
+def taylor_product(rhs_matrix, dt, order, n_steps):
+    """n_steps-th power of the order-p Taylor polynomial of exp(dt * rhs_matrix)."""
+    dim = rhs_matrix.shape[0]
+    factor = np.eye(dim)
+    term = np.eye(dim)
+    for p in range(1, order + 1):
+        term = term @ (dt * rhs_matrix) / p
+        factor = factor + term
+    return np.linalg.matrix_power(factor, n_steps)
+
+
+# ---------------------------------------------------------------------------
+# Spectral bookkeeping, one column or one eigenspace at a time
+# ---------------------------------------------------------------------------
+
+def loop_fix_signs(vectors):
+    """Flip each column whose first entry above 1e-10 of its largest magnitude is negative."""
+    out = vectors.copy()
+    for col in range(out.shape[1]):
+        v = out[:, col]
+        cutoff = 1e-10 * np.max(np.abs(v))
+        idx = np.argmax(np.abs(v) > cutoff)
+        if v[idx] < 0:
+            out[:, col] = -v
+    return out
+
+
+def projection_sum(eigenvalues, factors):
+    """sum_k lambda_k Q_k Q_k^T accumulated eigenspace by eigenspace."""
+    dim = factors[0].shape[0]
+    out = np.zeros((dim, dim))
+    for lam, q in zip(eigenvalues, factors):
+        out += lam * (q @ q.T)
+    return out

@@ -179,6 +179,18 @@ class TestEvolveCommand:
         assert code == 4
         assert float(summary["suggested_dt"]) > 0.0
 
+    def test_non_dividing_dt_exits_2(self, capsys, tmp_path):
+        code, summary, captured, _ = run_cli(capsys, "evolve", """
+            grid_points = 16
+            psi0_x0 = 1
+            t1 = 0.0105
+            dt = 0.001
+        """, tmp_path)
+        assert code == 2
+        assert summary == {}
+        assert captured.err.strip().splitlines() == [
+            "config error: (t1 - t0)/dt = 10.5 is not an integer step count"]
+
     def test_dyson_comparison_block(self, capsys, tmp_path):
         code, summary, _, _ = run_cli(capsys, "evolve", """
             grid_points = 8
@@ -252,6 +264,19 @@ class TestSpectralCommand:
         assert code == 3
         assert float(summary["asymmetry"]) > 1e-6
         assert "self-adjoint" in captured.err
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_multiplication_exits_3(self, capsys, tmp_path):
+        code, summary, captured, _ = run_cli(capsys, "spectral", """
+            grid_points = 8
+            operator = multiplication
+            v = 1/(x-x)
+        """, tmp_path)
+        assert code == 3
+        assert list(summary) == ["asymmetry"]
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "self-adjoint" in err[0] and "NaN" in err[0]
 
 
 class TestShippedConfigs:

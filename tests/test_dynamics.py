@@ -28,7 +28,15 @@ from hqm.dynamics import write_continuity_csv, write_trajectory_csv
 from hqm.quaternion import I, qmul
 
 from conftest import normalized, plane_wave, random_qfunction
-from oracles import expm_propagate, naive_qmul, split_step_propagate
+from oracles import (
+    expm_propagate,
+    impulse_matrix,
+    naive_qmul,
+    right_times_i,
+    split_step_propagate,
+    taylor_product,
+    trapezoid_dyson_tower,
+)
 
 
 def packet(grid, sharp=2.0, carrier=2):
@@ -285,6 +293,35 @@ class TestDysonPropagator:
             dyson_propagator(spec, 0.0, 1.0, n_terms=0, n_quad=9)
         with pytest.raises(ValueError):
             dyson_propagator(spec, 0.0, 1.0, n_terms=2, n_quad=2)
+
+
+class TestDenseReferenceForms:
+    """The structured propagators against the explicit dense forms they replace."""
+
+    @staticmethod
+    def spec():
+        grid = Grid(8)
+        x = grid.nodes
+        return HamiltonianSpec(grid=grid, mass=1.3, hbar=0.7, alpha=0.2 * np.cos(x),
+                               V=0.4 * np.cos(x) + 0.1j, W=0.3 - 0.2j * np.sin(x))
+
+    @pytest.mark.parametrize("n_quad", [9, 17])
+    def test_dyson_matches_trapezoid_tower(self, n_quad):
+        spec = self.spec()
+        h = impulse_matrix(hamiltonian(spec).apply_values, 8)
+        ref = trapezoid_dyson_tower(h, spec.hbar, 0.0, 0.05, 4, n_quad)
+        got = dyson_propagator(spec, 0.0, 0.05, n_terms=4, n_quad=n_quad).matrix
+        assert np.linalg.norm(ref - np.eye(32)) > 0.1  # every term matters
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("deriv", ["spectral", "central"])
+    def test_short_time_matches_impulse_taylor_product(self, deriv):
+        spec = self.spec()
+        h_op = hamiltonian(spec, deriv)
+        rhs = impulse_matrix(lambda v: (-1.0 / spec.hbar) * right_times_i(h_op.apply_values(v)), 8)
+        ref = taylor_product(rhs, 0.1 / 16, 4, 16)
+        got = short_time_propagator(spec, 0.0, 0.1, n_steps=16, deriv=deriv).matrix
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestShortTimePropagator:

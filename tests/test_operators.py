@@ -19,7 +19,7 @@ from hqm.operators import central_derivative, spectral_derivative
 from hqm.quaternion import I, Quaternion, qconj, qmul
 
 from conftest import plane_wave, random_complex_qfunction, random_qfunction, normalized
-from oracles import complex_expectation, complex_hamiltonian
+from oracles import complex_expectation, complex_hamiltonian, impulse_matrix, n_impulse_matrix
 
 
 class TestApply:
@@ -84,6 +84,41 @@ class TestMatrixRealization:
         for t in threads:
             t.join()
         assert all(m is seen[0] for m in seen)  # single cached realization
+
+
+class TestRightLinearRealization:
+    """hamiltonian() realizes its matrix from n impulses; the generic path uses 4n."""
+
+    @staticmethod
+    def full_spec(n):
+        grid = Grid(n)
+        x = grid.nodes
+        return HamiltonianSpec(grid=grid, mass=0.8, hbar=1.3, alpha=0.3 * np.sin(x),
+                               beta=0.2 - 0.1j * np.cos(x), V=np.cos(x) + 0.4j * np.sin(x),
+                               W=0.3 * np.sin(2 * x) - 0.2j)
+
+    @pytest.mark.parametrize("n", [7, 8, 33])
+    @pytest.mark.parametrize("deriv", ["spectral", "central"])
+    def test_hamiltonian_matches_generic_realization(self, n, deriv):
+        h = hamiltonian(self.full_spec(n), deriv)
+        generic = QOperator(h.grid, h.apply_values).matrix
+        assert np.max(np.abs(h.matrix - generic)) <= 1e-13 * np.max(np.abs(generic))
+
+    def test_hamiltonian_commutes_with_right_units(self, rng):
+        h = hamiltonian(self.full_spec(8))
+        f = random_qfunction(rng, h.grid)
+        for unit in (Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1)):
+            right = QOperator.right_multiplication(unit, h.grid)
+            gap = h(right(f)).values - right(h(f)).values
+            assert np.max(np.abs(gap)) < 1e-12 * np.max(np.abs(h(f).values))
+
+    def test_non_right_linear_operators_keep_impulse_realization(self):
+        spec = self.full_spec(7)
+        for op in (QOperator.right_multiplication(I, spec.grid), momentum_pi(spec)):
+            ref = impulse_matrix(op.apply_values, 7)
+            assert np.max(np.abs(op.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
+            # the n-impulse shortcut would be wrong for them
+            assert np.max(np.abs(n_impulse_matrix(op.apply_values, 7) - ref)) > 0.1
 
 
 class TestAdjoint:

@@ -16,7 +16,10 @@ from hqm import (
     write_spectrum_csv,
 )
 
+from hqm.spectral import _fix_signs
+
 from conftest import random_qfunction, normalized
+from oracles import loop_fix_signs, projection_sum
 
 
 def random_self_adjoint(rng, grid, scale=1.0):
@@ -93,6 +96,12 @@ class TestResolutionInvariants:
         err = np.linalg.norm(m - res.reconstruction_matrix()) / np.linalg.norm(m)
         assert err < 1e-9
 
+    def test_reconstruction_matches_per_eigenspace_sum(self):
+        res = decompose(hamiltonian(HamiltonianSpec(grid=Grid(17), V=0.5)))
+        assert np.all(res.multiplicities[1:] == 8)  # degenerate spaces take the stacked path
+        ref = projection_sum(res.eigenvalues, res.factors)
+        assert np.max(np.abs(res.reconstruction_matrix() - ref)) < 1e-13 * np.max(np.abs(ref))
+
     def test_expectation_matches_weighted_projections(self, rng, resolution):
         grid, op, res = resolution
         psi = normalized(random_qfunction(rng, grid, k_max=3))
@@ -155,6 +164,13 @@ class TestDeterminism:
         res2 = decompose(QOperator.from_matrix(grid, op.matrix.copy()))
         for q1, q2 in zip(res1.factors, res2.factors):
             assert np.array_equal(q1, q2)
+
+
+    def test_sign_fix_matches_column_loop(self, rng):
+        vectors = np.linalg.qr(rng.normal(size=(12, 12)))[0]
+        vectors[:3, 4], vectors[3, 4] = 1e-13, -0.5  # negligible leading entries are skipped
+        vectors[:, 7] = 0.0     # an all-zero column stays as it is
+        assert np.array_equal(_fix_signs(vectors), loop_fix_signs(vectors))
 
 
 def test_spectrum_csv(tmp_path):
