@@ -54,7 +54,7 @@ from .fourier import (
     synthesize,
     write_expansion_csv,
 )
-from .hilbert import Grid, QFunction, inner, norm, read_qfunction_csv, write_qfunction_csv
+from .hilbert import TWO_PI, Grid, QFunction, inner, norm, read_qfunction_csv, write_qfunction_csv
 from .operators import (
     HamiltonianSpec,
     NormalPair,
@@ -64,8 +64,6 @@ from .operators import (
 )
 from .quaternion import UnitQuaternion, re_product_identity
 from .spectral import decompose, write_spectrum_csv
-
-TWO_PI = 2.0 * math.pi
 
 
 def _fmt(value: float) -> str:

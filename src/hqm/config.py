@@ -135,12 +135,12 @@ HAMILTONIAN_SCHEMA: dict[str, Option] = {
 
 
 def hamiltonian_from_config(cfg: dict, grid: Grid) -> HamiltonianSpec:
-    return HamiltonianSpec(
-        grid=grid,
-        mass=cfg["m"],
-        hbar=cfg["hbar"],
-        alpha=sampled_function(cfg, "alpha", grid, complex_valued=False),
-        beta=sampled_function(cfg, "beta", grid, complex_valued=True),
-        V=sampled_function(cfg, "V", grid, complex_valued=True),
-        W=sampled_function(cfg, "W", grid, complex_valued=True),
-    )
+    alpha = sampled_function(cfg, "alpha", grid, complex_valued=False)
+    beta = sampled_function(cfg, "beta", grid, complex_valued=True)
+    V = sampled_function(cfg, "V", grid, complex_valued=True)
+    W = sampled_function(cfg, "W", grid, complex_valued=True)
+    try:
+        return HamiltonianSpec(grid=grid, mass=cfg["m"], hbar=cfg["hbar"],
+                               alpha=alpha, beta=beta, V=V, W=W)
+    except ValueError as exc:  # non-positive m or hbar, non-finite samples
+        raise ConfigError(str(exc)) from exc

@@ -1,19 +1,24 @@
 """Time evolution of the quaternionic Schrodinger equation on periodic grids.
 
 The equation reads hbar * dPsi/dt * i = H Psi with the imaginary unit on the
-RIGHT of the time derivative (i Psi != Psi i), so the explicit form integrated
-here is dPsi/dt = -(1/hbar) (H Psi) i, a general real-linear right-hand side.
-Classic fourth-order Runge-Kutta over that right side is the workhorse.  H
-commutes with right multiplication by every constant quaternion, so writing
-Psi = w0 + j w1 with complex w0, w1 turns the equation into an ordinary
-complex Schrodinger equation for (w0, w1), where U = V + W j acts as a 2x2
-block; split-step methods therefore apply, though none is implemented here.
+RIGHT of the time derivative (i Psi != Psi i), so the explicit form is
+dPsi/dt = -(1/hbar) (H Psi) i.  H is built from left multiplications and real
+derivatives, so it commutes with right multiplication by every constant
+quaternion.  Writing Psi = w0 + j w1 with complex w0 = x0 + i x1 and
+w1 = x2 - i x3 (the symplectic form) makes right multiplication by i plain
+multiplication by i, and the equation becomes the ordinary complex
+Schrodinger equation i hbar dw/dt = H_c w for the pair w = (w0, w1): left
+multiplication by q = p0 + p1 j acts per node as the 2x2 block
+[[p0, -p1], [conj p1, conj p0]] and the derivative is a Fourier multiplier.
+Classic fourth-order Runge-Kutta on that complex pair is the workhorse.
+Split-step methods apply to the same form, but none is implemented here.
 
 Probability bookkeeping follows the continuity equation
 d(rho)/dt + dJ/dx = g with rho = Psi conj(Psi),
 J = (1/2m)[(Pi Psi) conj(Psi) + Psi conj(Pi Psi)] and
 g = (1/hbar)[Psi i conj(Psi) conj(U) - U Psi i conj(Psi)];
-all three are real, and g vanishes identically for real potentials.
+all three are real, and g vanishes identically for real potentials.  The
+fields are evaluated on blocks of stored states at a time.
 
 The time-ordered (Dyson) propagator is assembled exactly as the iterated
 series with one right factor (-i) per level.  Collapsing those factors onto
@@ -25,7 +30,6 @@ feature under test, not a bug.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -40,15 +44,18 @@ from .operators import (
     momentum_pi,
     _DERIVATIVES,
     _I_ARR,
+    _derivative_symbol,
 )
 from .quaternion import (
     I,
     Quaternion,
     UnitQuaternion,
+    from_complex_pair,
     left_mult_matrix,
     qconj,
     qmul,
     right_mult_matrix,
+    to_complex_pair,
 )
 
 __all__ = [
@@ -86,12 +93,27 @@ def _max_stable_dt(spec: HamiltonianSpec, dt: float | None = None) -> float:
 
 
 def _rhs(spec: HamiltonianSpec, deriv: str):
-    """Right-hand side F(Psi) = -(1/hbar)(H Psi) i on raw (n, 4) arrays."""
-    h_op = hamiltonian(spec, deriv)
-    scale = -1.0 / spec.hbar
+    """Right-hand side F(w) = -(i/hbar) H_c w on the (2, n) complex pair w.
 
-    def f(values: np.ndarray) -> np.ndarray:
-        return scale * qmul(h_op.apply_values(values), _I_ARR)
+    H_c = c (D - A)(D - A) + U with c = -hbar^2/2m; A = alpha i + beta j acts
+    per node as [[i alpha, -beta], [conj beta, -i alpha]] and U = V + W j as
+    [[V, -W], [conj W, conj V]].  Each block is applied as col0 * w[0] +
+    col1 * w[1] over its precomputed (2, n) columns.
+    """
+    symbol = _derivative_symbol(deriv, spec.grid)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    scale = -1j / spec.hbar
+    kinetic = scale * (-spec.hbar**2 / (2.0 * spec.mass))
+    u0 = scale * np.array([spec.V, spec.W.conj()])
+    u1 = scale * np.array([-spec.W, spec.V.conj()])
+    a0 = np.array([1j * spec.alpha, spec.beta.conj()])
+    a1 = np.array([-spec.beta, -1j * spec.alpha])
+
+    def d_a(w: np.ndarray) -> np.ndarray:
+        return ifft(symbol * fft(w)) - (a0 * w[0] + a1 * w[1])
+
+    def f(w: np.ndarray) -> np.ndarray:
+        return kinetic * d_a(d_a(w)) + (u0 * w[0] + u1 * w[1])
 
     return f
 
@@ -111,10 +133,11 @@ def step(spec: HamiltonianSpec, psi: QFunction, dt: float, *, deriv: str = "spec
     if psi.grid != spec.grid:
         raise GridMismatchError("state and Hamiltonian live on different grids")
     _max_stable_dt(spec, dt)
-    out = _rk4_step(_rhs(spec, deriv), psi.values, dt)
-    if not np.all(np.isfinite(out)):
+    z0, z1 = to_complex_pair(psi.values)
+    w = _rk4_step(_rhs(spec, deriv), np.array([z0, z1.conj()]), dt)
+    if not np.all(np.isfinite(w)):
         raise InstabilityError("non-finite values after one step", 0.5 * _max_stable_dt(spec))
-    return QFunction(spec.grid, out)
+    return QFunction(spec.grid, from_complex_pair(w[0], w[1].conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +226,10 @@ class EvolveResult:
 
 def _continuity_fields(spec: HamiltonianSpec, values: np.ndarray, deriv: str,
                        pi_op: QOperator | None = None):
-    """Quaternion-valued rho, J, g for one state sample (before realness extraction)."""
+    """Quaternion-valued rho, J, g (before realness extraction).
+
+    values is one state sample (n, 4) or a block of samples (B, n, 4).
+    """
     if pi_op is None:
         pi_op = momentum_pi(spec, deriv)
     conj_v = qconj(values)
@@ -239,6 +265,10 @@ def probability_fields(spec: HamiltonianSpec, psi: QFunction,
     return ProbabilityFields(rho_q[:, 0].copy(), j_q[:, 0].copy(), g_q[:, 0].copy(), max_imag)
 
 
+# State samples per block of the continuity pass.
+_BLOCK = 64
+
+
 def evolve(problem: EvolutionProblem) -> EvolveResult:
     """Integrate the problem and verify the continuity equation along the way."""
     spec = problem.spec
@@ -251,37 +281,46 @@ def evolve(problem: EvolutionProblem) -> EvolveResult:
     states = np.empty((n_steps + 1, grid.n_points, 4))
     states[0] = problem.psi0.values
     limit = 1e12 * max(np.sum(states[0] ** 2), 1e-300)
+    z0, z1 = to_complex_pair(states[0])
+    w = np.array([z0, z1.conj()])
     for s in range(n_steps):
-        nxt = _rk4_step(f, states[s], problem.dt)
-        if not np.all(np.isfinite(nxt)) or np.sum(nxt**2) > limit:
+        w = _rk4_step(f, w, problem.dt)
+        if not np.all(np.isfinite(w)) or np.vdot(w, w).real > limit:
             raise InstabilityError(
                 f"integration diverged at step {s + 1}", 0.5 * _max_stable_dt(spec)
             )
-        states[s + 1] = nxt
+        nxt = states[s + 1]
+        nxt[:, 0] = w[0].real
+        nxt[:, 1] = w[0].imag
+        nxt[:, 2] = w[1].real
+        np.subtract(0.0, w[1].imag, out=nxt[:, 3])  # 0 - y, not -y: writes +0.0 for zero
 
     n_times = n_steps + 1
     rho = np.empty((n_times, grid.n_points))
     current = np.empty_like(rho)
     source = np.empty_like(rho)
+    # residual[t - 1] = |(rho[t+1] - rho[t-1]) / 2dt + dJ/dx[t] - g[t]|, 1 <= t <= n_times - 2
+    residual = np.empty((n_times - 2, grid.n_points))
     max_imag = 0.0
     diff = _DERIVATIVES[problem.deriv]
     pi_op = momentum_pi(spec, problem.deriv)
-    for t in range(n_times):
-        rho_q, j_q, g_q = _continuity_fields(spec, states[t], problem.deriv, pi_op)
+    for start in range(0, n_times, _BLOCK):
+        stop = min(start + _BLOCK, n_times)
+        rho_q, j_q, g_q = _continuity_fields(spec, states[start:stop], problem.deriv, pi_op)
         for arr in (rho_q, j_q, g_q):
-            max_imag = max(max_imag, float(np.max(np.abs(arr[:, 1:]))))
-        rho[t] = rho_q[:, 0]
-        current[t] = j_q[:, 0]
-        source[t] = g_q[:, 0]
-
-    if n_times >= 3:
-        drho_dt = (rho[2:] - rho[:-2]) / (2.0 * problem.dt)
-        dj_dx = np.stack([
-            diff(current[t][:, None], grid)[:, 0] for t in range(1, n_times - 1)
-        ])
-        residual = np.abs(drho_dt + dj_dx - source[1:-1])
-    else:
-        residual = np.zeros((0, grid.n_points))
+            max_imag = max(max_imag, float(np.max(np.abs(arr[..., 1:]))))
+        rho[start:stop] = rho_q[..., 0]
+        current[start:stop] = j_q[..., 0]
+        source[start:stop] = g_q[..., 0]
+        # interior times whose neighbours are now known: start - 1 (or 1) up to stop - 2
+        lo, hi = max(start, 2) - 1, stop - 1
+        if lo < hi:
+            out = residual[lo - 1:hi - 1]
+            np.subtract(rho[lo + 1:hi + 1], rho[lo - 1:hi - 1], out=out)
+            out /= 2.0 * problem.dt
+            out += diff(current[lo:hi, :, None], grid)[..., 0]
+            out -= source[lo:hi]
+            np.abs(out, out=out)
 
     report = ContinuityReport(
         times=times,
@@ -425,40 +464,39 @@ def angle_addition_deviation(u: UnitQuaternion, v: UnitQuaternion) -> float:
 # CSV emission
 # ---------------------------------------------------------------------------
 
+def _row_template(k: int) -> str:
+    """One CSV line of k floats at 17 significant digits, csv-module line ending."""
+    return ",".join(["%.17e"] * k) + "\r\n"
+
+
 def write_trajectory_csv(traj: Trajectory, path, *, stride: int = 1) -> None:
     """Wide CSV: t then x0,x1,x2,x3 per node; '#' header documents the layout."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n = traj.grid.n_points
+    rows = list(range(0, len(traj.times), stride))
+    if rows[-1] != len(traj.times) - 1:
+        rows.append(len(traj.times) - 1)
+    line = _row_template(1 + 4 * n)
     with open(path, "w", newline="") as fh:
         fh.write("# quaternionic trajectory: t, then node{K}_x{C} for node K, component C\n")
         fh.write(f"# n_points = {n}, h = {traj.grid.h:.17e}, stride = {stride}\n")
-        writer = csv.writer(fh)
-        header = ["t"] + [f"node{kk}_x{c}" for kk in range(n) for c in range(4)]
-        writer.writerow(header)
-        rows = list(range(0, len(traj.times), stride))
-        if rows[-1] != len(traj.times) - 1:
-            rows.append(len(traj.times) - 1)
+        fh.write(",".join(["t"] + [f"node{kk}_x{c}" for kk in range(n) for c in range(4)]) + "\r\n")
         for idx in rows:
-            writer.writerow([f"{traj.times[idx]:.17e}"]
-                            + [f"{v:.17e}" for v in traj.values[idx].ravel()])
+            fh.write(line % (traj.times[idx], *traj.values[idx].ravel().tolist()))
 
 
 def write_continuity_csv(report: ContinuityReport, path) -> None:
     """Per-time summary: max residual, total norm, its centered rate, total source."""
     n_times = len(report.times)
     dnorm = np.gradient(report.total_norm, report.times) if n_times > 1 else np.zeros(1)
+    max_res = np.abs(report.residual).max(axis=1)
+    line = _row_template(5)
     with open(path, "w", newline="") as fh:
         fh.write("# continuity summary: max_residual is max_x |d(rho)/dt + dJ/dx - g| "
                  "(defined at interior times)\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "max_residual", "total_norm", "dnorm_dt", "int_g"])
+        fh.write("t,max_residual,total_norm,dnorm_dt,int_g\r\n")
         for t in range(n_times):
-            res = np.max(np.abs(report.residual[t - 1])) if 1 <= t <= n_times - 2 else 0.0
-            writer.writerow([
-                f"{report.times[t]:.17e}",
-                f"{res:.17e}",
-                f"{report.total_norm[t]:.17e}",
-                f"{dnorm[t]:.17e}",
-                f"{report.total_source[t]:.17e}",
-            ])
+            res = max_res[t - 1] if 1 <= t <= n_times - 2 else 0.0
+            fh.write(line % (report.times[t], res, report.total_norm[t], dnorm[t],
+                             report.total_source[t]))

@@ -26,7 +26,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, GridMismatchError
 from .hilbert import TWO_PI, Grid, QFunction, combine, inner, norm
@@ -209,10 +208,13 @@ def analyze(
     if scaling != "exact":
         raise ValueError(f"unknown scaling {scaling!r}")
     G = family.grid.h * (flat @ flat.T)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > cond_cap:
+    # G is symmetric positive semi-definite: one eigh gives the condition
+    # number and the solve
+    lam, vecs = np.linalg.eigh(G)
+    cond = lam[-1] / lam[0] if lam[0] > 0 else math.inf
+    if not (cond <= cond_cap):
         raise ConditioningError(float(cond), cond_cap)
-    coeffs = scipy.linalg.solve(G, b, assume_a="sym")
+    coeffs = vecs @ ((vecs.T @ b) / lam)
     return QFourierExpansion(family, coeffs)
 
 

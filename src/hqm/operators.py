@@ -46,27 +46,45 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def spectral_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """FFT derivative of each real component; exact for band-limited samples.
+    """FFT derivative of each real component along the node axis (axis -2).
 
-    The Nyquist mode of an even grid has no odd counterpart, so its
-    derivative is set to zero (the standard convention).
+    Exact for band-limited samples.  The Nyquist mode of an even grid has no
+    odd counterpart, so its derivative is set to zero (the standard convention).
     """
     n = grid.n_points
-    spec = np.fft.rfft(values, axis=0)
-    k = np.arange(spec.shape[0])
+    spec = np.fft.rfft(values, axis=-2)
+    k = np.arange(spec.shape[-2])
     if n % 2 == 0:
-        k = k.copy()
         k[-1] = 0
     spec *= 1j * k[:, None]
-    return np.fft.irfft(spec, n=n, axis=0)
+    return np.fft.irfft(spec, n=n, axis=-2)
 
 
 def central_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order centered difference with periodic wraparound."""
-    return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * grid.h)
+    """Second-order centered difference with periodic wraparound along axis -2."""
+    return (np.roll(values, -1, axis=-2) - np.roll(values, 1, axis=-2)) / (2.0 * grid.h)
 
 
 _DERIVATIVES = {"spectral": spectral_derivative, "central": central_derivative}
+
+
+def _derivative_symbol(deriv: str, grid: Grid) -> np.ndarray:
+    """Fourier multiplier of the derivative scheme along the last axis of a full FFT.
+
+    spectral: ik with the Nyquist mode zeroed, as in spectral_derivative;
+    central: i sin(kh)/h, the symbol of the centered difference.
+    """
+    if deriv not in _DERIVATIVES:
+        raise ValueError(f"unknown derivative scheme {deriv!r}")
+    n = grid.n_points
+    k = np.arange(n)
+    k[k > n // 2] -= n
+    if n % 2 == 0:
+        k[n // 2] = 0
+    if deriv == "central":
+        return 1j * (np.sin(k * grid.h) / grid.h)
+    return 1j * k
+
 
 _I_ARR = I.as_array()
 
@@ -261,13 +279,13 @@ class HamiltonianSpec:
     W: np.ndarray | complex = 0.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0:
+        if not (self.mass > 0 and self.hbar > 0):
             raise ValueError("mass and hbar must be positive")
         n = self.grid.n_points
-        alpha = np.broadcast_to(np.asarray(self.alpha, dtype=float), (n,)).copy()
-        object.__setattr__(self, "alpha", alpha)
-        for name in ("beta", "V", "W"):
-            arr = np.broadcast_to(np.asarray(getattr(self, name), dtype=complex), (n,)).copy()
+        for name, dtype in (("alpha", float), ("beta", complex), ("V", complex), ("W", complex)):
+            arr = np.broadcast_to(np.asarray(getattr(self, name), dtype=dtype), (n,)).copy()
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite samples")
             object.__setattr__(self, name, arr)
 
     def gauge_values(self) -> np.ndarray:

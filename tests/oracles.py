@@ -137,6 +137,26 @@ def right_times_i(values):
     return np.array([naive_qmul(row, _UNITS[1]) for row in values])
 
 
+def real_layout_rk4(h_action, hbar, values, dt, n_steps):
+    """Classic RK4 on dPsi/dt = -(1/hbar)(H Psi) i in the stacked (n, 4) real layout.
+
+    Right multiplication by i goes through the longhand Hamilton product row
+    by row; returns the n_steps + 1 states.
+    """
+    def f(v):
+        return (-1.0 / hbar) * right_times_i(h_action(v))
+
+    states = [np.asarray(values, dtype=float)]
+    for _ in range(n_steps):
+        v = states[-1]
+        k1 = f(v)
+        k2 = f(v + 0.5 * dt * k1)
+        k3 = f(v + 0.5 * dt * k2)
+        k4 = f(v + dt * k3)
+        states.append(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(states)
+
+
 def trapezoid_dyson_tower(h_matrix, hbar, t0, t1, n_terms, n_quad):
     """Dyson series from the explicit (n_quad, 4n, 4n) trapezoid tower of each level.
 

@@ -191,6 +191,19 @@ class TestEvolveCommand:
         assert captured.err.strip().splitlines() == [
             "config error: (t1 - t0)/dt = 10.5 is not an integer step count"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_potential_exits_2(self, capsys, tmp_path):
+        code, summary, captured, _ = run_cli(capsys, "evolve", """
+            grid_points = 16
+            V_re = 1/(x-x)
+            psi0_x0 = 1
+            t1 = 0.01
+            dt = 0.001
+        """, tmp_path)
+        assert code == 2
+        assert summary == {}
+        assert captured.err.strip().splitlines() == ["config error: V has non-finite samples"]
+
     def test_dyson_comparison_block(self, capsys, tmp_path):
         code, summary, _, _ = run_cli(capsys, "evolve", """
             grid_points = 8
@@ -287,6 +300,20 @@ class TestShippedConfigs:
         code = main([name.split(".")[0], "--config", str(cfg), "--out", str(tmp_path)])
         capsys.readouterr()
         assert code == 0
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test dependency only; the package and its CLI run on numpy
+    import subprocess
+    import sys
+    from pathlib import Path
+    import hqm
+    code = "import sys, hqm, hqm.cli; print('scipy' in sys.modules)"
+    src = str(Path(hqm.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, cwd=src)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs_in_subprocess(tmp_path):

@@ -24,7 +24,8 @@ from hqm import (
     step,
     superop,
 )
-from hqm.dynamics import write_continuity_csv, write_trajectory_csv
+from hqm.dynamics import _BLOCK, write_continuity_csv, write_trajectory_csv
+from hqm.operators import central_derivative, spectral_derivative
 from hqm.quaternion import I, qmul
 
 from conftest import normalized, plane_wave, random_qfunction
@@ -32,6 +33,7 @@ from oracles import (
     expm_propagate,
     impulse_matrix,
     naive_qmul,
+    real_layout_rk4,
     right_times_i,
     split_step_propagate,
     taylor_product,
@@ -109,6 +111,36 @@ class TestStep:
             with pytest.raises(InstabilityError) as exc:
                 evolve(EvolutionProblem(spec, psi0, 0.0, 10.0, 0.1))
         assert 0.0 < exc.value.suggested_dt < 0.01
+
+
+class TestSymplecticStepping:
+    """Stepping in the symplectic complex form against RK4 in the real layout."""
+
+    @staticmethod
+    def case(n):
+        grid = Grid(n)
+        x = grid.nodes
+        spec = HamiltonianSpec(grid=grid, mass=1.3, hbar=0.7, alpha=0.3 * np.sin(x),
+                               beta=0.2 * np.cos(x) + 0.1j,
+                               V=0.4 * np.cos(x) + 0.2j * np.sin(2 * x),
+                               W=0.3 - 0.2j * np.cos(x))
+        psi0 = normalized(QFunction.from_components(
+            grid, x0=np.exp(-np.cos(x - math.pi) ** 2), x1=0.3 * np.sin(x),
+            x2=0.5 * np.cos(2 * x), x3=0.2 + 0.1 * np.sin(3 * x)))
+        return spec, psi0
+
+    @pytest.mark.parametrize("deriv", ["spectral", "central"])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_step_and_evolve_match_real_layout(self, n, deriv):
+        spec, psi0 = self.case(n)
+        dt = 2e-3
+        ref = real_layout_rk4(hamiltonian(spec, deriv).apply_values, spec.hbar,
+                              psi0.values, dt, 50)
+        assert np.max(np.abs(ref[-1] - ref[0])) > 0.01  # the state really moves
+        got = step(spec, psi0, dt, deriv=deriv).values
+        assert np.max(np.abs(got - ref[1])) <= 1e-12 * np.max(np.abs(ref[1]))
+        traj = evolve(EvolutionProblem(spec, psi0, 0.0, 50 * dt, dt, deriv=deriv)).trajectory
+        assert np.max(np.abs(traj.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestEvolutionProblem:
@@ -218,6 +250,40 @@ class TestContinuity:
         assert norm(QFunction.from_complex(grid, z0=final.z0 - exact)) < 1e-7
         strang = split_step_propagate(psi0.z0, v, 0.5, dt=1e-4)
         assert norm(QFunction.from_complex(grid, z0=final.z0 - strang)) < 1e-7
+
+
+class TestBlockedContinuity:
+    """The blocked continuity pass against a per-sample loop over the public fields."""
+
+    @pytest.mark.parametrize("deriv", ["spectral", "central"])
+    @pytest.mark.parametrize("n_times", [2, 3, _BLOCK + 1, 2 * _BLOCK + 5])
+    def test_bit_identical_to_per_sample_loop(self, n_times, deriv):
+        grid = Grid(12)
+        x = grid.nodes
+        spec = HamiltonianSpec(grid=grid, alpha=0.3 * np.sin(x), beta=0.1 + 0.05j,
+                               V=np.cos(x) + 0.1j, W=0.2 - 0.1j * np.sin(x))
+        psi0 = normalized(QFunction.from_components(
+            grid, x0=1 + 0.3 * np.cos(x), x1=0.2 * np.sin(x), x2=0.5, x3=0.1 * np.cos(2 * x)))
+        dt = 1e-3
+        out = evolve(EvolutionProblem(spec, psi0, 0.0, (n_times - 1) * dt, dt, deriv=deriv))
+        report = out.report
+        assert len(report.times) == n_times
+
+        diff = {"spectral": spectral_derivative, "central": central_derivative}[deriv]
+        fields = [probability_fields(spec, out.trajectory.state(t), deriv) for t in range(n_times)]
+        rho = np.array([fl.rho for fl in fields])
+        current = np.array([fl.current for fl in fields])
+        source = np.array([fl.source for fl in fields])
+        residual = np.array([
+            np.abs((rho[t + 1] - rho[t - 1]) / (2.0 * dt)
+                   + diff(current[t][:, None], grid)[:, 0] - source[t])
+            for t in range(1, n_times - 1)
+        ]).reshape(n_times - 2, grid.n_points)
+        assert np.array_equal(report.rho, rho)
+        assert np.array_equal(report.current, current)
+        assert np.array_equal(report.source, source)
+        assert np.array_equal(report.residual, residual)
+        assert report.max_imaginary == max(fl.max_imaginary for fl in fields)
 
 
 class TestSuperop:

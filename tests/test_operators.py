@@ -301,6 +301,19 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError):
             HamiltonianSpec(grid=grid32, hbar=-1.0)
 
+    @pytest.mark.parametrize("field", ["mass", "hbar"])
+    def test_nan_mass_or_hbar_rejected(self, grid32, field):
+        with pytest.raises(ValueError, match="positive"):
+            HamiltonianSpec(grid=grid32, **{field: float("nan")})
+
+    @pytest.mark.parametrize("field, bad", [("alpha", np.inf), ("beta", complex(0, np.nan)),
+                                            ("V", np.inf), ("W", complex(np.nan, 0))])
+    def test_non_finite_samples_rejected(self, grid32, field, bad):
+        samples = np.zeros(32, dtype=complex if field != "alpha" else float)
+        samples[5] = bad
+        with pytest.raises(ValueError, match=f"^{field} has non-finite samples$"):
+            HamiltonianSpec(grid=grid32, **{field: samples})
+
     def test_gauge_is_pure_imaginary(self, grid32):
         spec = HamiltonianSpec(grid=grid32, alpha=np.sin(grid32.nodes), beta=0.3 + 0.4j)
         gauge = spec.gauge_values()
