@@ -19,7 +19,6 @@ from .quaternion import (
     Quaternion,
     UnitQuaternion,
     re_product_identity,
-    realize,
 )
 from .hilbert import (
     Grid,
@@ -52,7 +51,6 @@ from .operators import (
     NormalPair,
     QOperator,
     adjoint,
-    apply,
     expectation,
     hamiltonian,
     momentum_pi,

@@ -54,7 +54,9 @@ from .fourier import (
     synthesize,
     write_expansion_csv,
 )
-from .hilbert import TWO_PI, Grid, QFunction, inner, norm, read_qfunction_csv, write_qfunction_csv
+from .hilbert import (
+    _FLOAT, TWO_PI, Grid, QFunction, inner, norm, read_qfunction_csv, write_qfunction_csv,
+)
 from .operators import (
     HamiltonianSpec,
     NormalPair,
@@ -67,7 +69,7 @@ from .spectral import decompose, write_spectrum_csv
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.17e}"
+    return _FLOAT % value
 
 
 def _emit(key: str, value) -> None:
@@ -170,6 +172,8 @@ def _state_from_config(cfg: dict, grid: Grid, prefix: str = "psi0") -> QFunction
         f = read_qfunction_csv(cfg[file_key])
         if f.grid != grid:
             raise ConfigError(f"{cfg[file_key]}: grid size {f.grid.n_points} != {grid.n_points}")
+        if not np.all(np.isfinite(f.values)):
+            raise ConfigError(f"{file_key} has non-finite samples")
         return f
     if not has_expr:
         raise ConfigError(f"missing initial state: set {prefix}_x0..{prefix}_x3 or {prefix}_file")
@@ -180,6 +184,8 @@ def _state_from_config(cfg: dict, grid: Grid, prefix: str = "psi0") -> QFunction
                 comps.append(evaluate(cfg[key], grid.nodes))
             except ExpressionError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
+            if not np.all(np.isfinite(comps[-1])):
+                raise ConfigError(f"{key} has non-finite samples")
         else:
             comps.append(np.zeros(grid.n_points))
     return QFunction(grid, np.stack(comps, axis=-1))
@@ -218,17 +224,7 @@ FOURIER_SCHEMA: dict[str, Option] = {
 def cmd_fourier(cfg: dict, out_dir: Path, args) -> int:
     grid = Grid(cfg["grid_points"])
     family = _build_family(cfg, grid)
-    gram_m = gram(family)
-    _write_matrix_csv(gram_m, out_dir / "gram.csv",
-                      "Gram matrix, row/col order = family index_set")
-    off = gram_m - np.diag(np.diag(gram_m))
-    _emit("family_size", family.size)
-    _emit("gram_max_offdiag", float(np.max(np.abs(off))) if off.size else 0.0)
-    _emit("gram_condition", float(np.linalg.cond(gram_m)))
-
-    has_target = any(cfg.get(k) for k in ("plant", "f_x0", "f_x1", "f_x2", "f_x3", "f_file"))
-    if not has_target:
-        return 0  # pure orthogonality run: Gram diagnostics only
+    target = None  # none: pure orthogonality run, Gram diagnostics only
     if cfg.get("plant"):
         idx_list, values = _parse_plant(cfg["plant"], family.kind)
         order = family.index_set()
@@ -238,11 +234,21 @@ def cmd_fourier(cfg: dict, out_dir: Path, args) -> int:
                 raise ConfigError(f"planted index {idx!r} not in the family")
             coeffs[order.index(idx)] = val
         target = synthesize(QFourierExpansion(family, coeffs))
-        expansion = analyze(target, family, cond_cap=cfg["cond_cap"])
-        _emit("plant_recovery_error", float(np.max(np.abs(expansion.coefficients - coeffs))))
-    elif has_target:
+    elif any(cfg.get(k) for k in ("f_x0", "f_x1", "f_x2", "f_x3", "f_file")):
         target = _state_from_config(cfg, grid, prefix="f")
-        expansion = analyze(target, family, cond_cap=cfg["cond_cap"])
+
+    gram_m = gram(family)
+    _write_matrix_csv(gram_m, out_dir / "gram.csv",
+                      "Gram matrix, row/col order = family index_set")
+    off = gram_m - np.diag(np.diag(gram_m))
+    _emit("family_size", family.size)
+    _emit("gram_max_offdiag", float(np.max(np.abs(off))) if off.size else 0.0)
+    _emit("gram_condition", float(np.linalg.cond(gram_m)))
+    if target is None:
+        return 0
+    expansion = analyze(target, family, cond_cap=cfg["cond_cap"])
+    if cfg.get("plant"):
+        _emit("plant_recovery_error", float(np.max(np.abs(expansion.coefficients - coeffs))))
 
     write_expansion_csv(expansion, out_dir / "coefficients.csv")
     recon = synthesize(expansion)

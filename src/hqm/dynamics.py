@@ -7,11 +7,11 @@ derivatives, so it commutes with right multiplication by every constant
 quaternion.  Writing Psi = w0 + j w1 with complex w0 = x0 + i x1 and
 w1 = x2 - i x3 (the symplectic form) makes right multiplication by i plain
 multiplication by i, and the equation becomes the ordinary complex
-Schrodinger equation i hbar dw/dt = H_c w for the pair w = (w0, w1): left
-multiplication by q = p0 + p1 j acts per node as the 2x2 block
-[[p0, -p1], [conj p1, conj p0]] and the derivative is a Fourier multiplier.
-Classic fourth-order Runge-Kutta on that complex pair is the workhorse.
-Split-step methods apply to the same form, but none is implemented here.
+Schrodinger equation i hbar dw/dt = H_c w for the pair w = (w0, w1), with H_c
+the pair-form Hamiltonian of the operators module (per-node 2x2 blocks and a
+Fourier-multiplier derivative).  Classic fourth-order Runge-Kutta on that
+complex pair is the workhorse.  Split-step methods apply to the same form,
+but none is implemented here.
 
 Probability bookkeeping follows the continuity equation
 d(rho)/dt + dJ/dx = g with rho = Psi conj(Psi),
@@ -36,26 +36,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InstabilityError
-from .hilbert import Grid, QFunction, norm
+from .hilbert import _FLOAT, Grid, QFunction, norm
 from .operators import (
     QOperator,
     HamiltonianSpec,
     hamiltonian,
     momentum_pi,
     _DERIVATIVES,
-    _I_ARR,
-    _derivative_symbol,
+    _from_pair,
+    _pair_hamiltonian,
+    _to_pair,
 )
 from .quaternion import (
     I,
     Quaternion,
     UnitQuaternion,
-    from_complex_pair,
     left_mult_matrix,
     qconj,
     qmul,
     right_mult_matrix,
-    to_complex_pair,
 )
 
 __all__ = [
@@ -93,29 +92,8 @@ def _max_stable_dt(spec: HamiltonianSpec, dt: float | None = None) -> float:
 
 
 def _rhs(spec: HamiltonianSpec, deriv: str):
-    """Right-hand side F(w) = -(i/hbar) H_c w on the (2, n) complex pair w.
-
-    H_c = c (D - A)(D - A) + U with c = -hbar^2/2m; A = alpha i + beta j acts
-    per node as [[i alpha, -beta], [conj beta, -i alpha]] and U = V + W j as
-    [[V, -W], [conj W, conj V]].  Each block is applied as col0 * w[0] +
-    col1 * w[1] over its precomputed (2, n) columns.
-    """
-    symbol = _derivative_symbol(deriv, spec.grid)
-    fft, ifft = np.fft.fft, np.fft.ifft
-    scale = -1j / spec.hbar
-    kinetic = scale * (-spec.hbar**2 / (2.0 * spec.mass))
-    u0 = scale * np.array([spec.V, spec.W.conj()])
-    u1 = scale * np.array([-spec.W, spec.V.conj()])
-    a0 = np.array([1j * spec.alpha, spec.beta.conj()])
-    a1 = np.array([-spec.beta, -1j * spec.alpha])
-
-    def d_a(w: np.ndarray) -> np.ndarray:
-        return ifft(symbol * fft(w)) - (a0 * w[0] + a1 * w[1])
-
-    def f(w: np.ndarray) -> np.ndarray:
-        return kinetic * d_a(d_a(w)) + (u0 * w[0] + u1 * w[1])
-
-    return f
+    """F(w) = -(i/hbar) H_c w, the right-hand side of i hbar dw/dt = H_c w on complex pairs."""
+    return _pair_hamiltonian(spec, deriv, scale=-1j / spec.hbar)
 
 
 def _rk4_step(f, values: np.ndarray, dt: float) -> np.ndarray:
@@ -133,11 +111,10 @@ def step(spec: HamiltonianSpec, psi: QFunction, dt: float, *, deriv: str = "spec
     if psi.grid != spec.grid:
         raise GridMismatchError("state and Hamiltonian live on different grids")
     _max_stable_dt(spec, dt)
-    z0, z1 = to_complex_pair(psi.values)
-    w = _rk4_step(_rhs(spec, deriv), np.array([z0, z1.conj()]), dt)
+    w = _rk4_step(_rhs(spec, deriv), _to_pair(psi.values), dt)
     if not np.all(np.isfinite(w)):
         raise InstabilityError("non-finite values after one step", 0.5 * _max_stable_dt(spec))
-    return QFunction(spec.grid, from_complex_pair(w[0], w[1].conj()))
+    return QFunction(spec.grid, _from_pair(w))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +214,7 @@ def _continuity_fields(spec: HamiltonianSpec, values: np.ndarray, deriv: str,
     pi_v = pi_op.apply_values(values)
     j_q = (qmul(pi_v, conj_v) + qmul(values, qconj(pi_v))) / (2.0 * spec.mass)
     potential = spec.potential_values()
-    a = qmul(qmul(values, _I_ARR), conj_v)
+    a = qmul(qmul(values, I.as_array()), conj_v)
     g_q = (qmul(a, qconj(potential)) - qmul(potential, a)) / spec.hbar
     return rho_q, j_q, g_q
 
@@ -281,19 +258,14 @@ def evolve(problem: EvolutionProblem) -> EvolveResult:
     states = np.empty((n_steps + 1, grid.n_points, 4))
     states[0] = problem.psi0.values
     limit = 1e12 * max(np.sum(states[0] ** 2), 1e-300)
-    z0, z1 = to_complex_pair(states[0])
-    w = np.array([z0, z1.conj()])
+    w = _to_pair(states[0])
     for s in range(n_steps):
         w = _rk4_step(f, w, problem.dt)
         if not np.all(np.isfinite(w)) or np.vdot(w, w).real > limit:
             raise InstabilityError(
                 f"integration diverged at step {s + 1}", 0.5 * _max_stable_dt(spec)
             )
-        nxt = states[s + 1]
-        nxt[:, 0] = w[0].real
-        nxt[:, 1] = w[0].imag
-        nxt[:, 2] = w[1].real
-        np.subtract(0.0, w[1].imag, out=nxt[:, 3])  # 0 - y, not -y: writes +0.0 for zero
+        _from_pair(w, out=states[s + 1])
 
     n_times = n_steps + 1
     rho = np.empty((n_times, grid.n_points))
@@ -416,13 +388,13 @@ def short_time_propagator(
     t1: float,
     n_steps: int,
     *,
-    order: int = 4,
     deriv: str = "spectral",
 ) -> QOperator:
-    """Product of n_steps short-time factors, each the order-p Taylor map of the flow.
+    """Product of n_steps short-time factors, each the RK4 map of the flow.
 
-    This is the operator form of the explicit integrator: exact on all states
-    (complex or quaternionic) up to the stated truncation order.
+    This is the operator form of the explicit integrator: the shared RK4 step
+    run on the identity matrix under the linear flow x -> M x, which gives the
+    fourth-order Taylor polynomial of exp(dt M), valid on all states.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -432,13 +404,7 @@ def short_time_propagator(
     dim = h.shape[0]
     # matrix of -(1/hbar)(H Psi) i: right-multiply each row's components by i
     m = (-1.0 / spec.hbar) * (right_mult_matrix(I) @ h.reshape(-1, 4, dim)).reshape(dim, dim)
-    factor = np.eye(dim)
-    power = np.eye(dim)
-    fact = 1.0
-    for p in range(1, order + 1):
-        power = power @ (dt * m)
-        fact *= p
-        factor = factor + power / fact
+    factor = _rk4_step(lambda x: m @ x, np.eye(dim), dt)
     return QOperator.from_matrix(grid, np.linalg.matrix_power(factor, n_steps), "short-time")
 
 
@@ -466,7 +432,7 @@ def angle_addition_deviation(u: UnitQuaternion, v: UnitQuaternion) -> float:
 
 def _row_template(k: int) -> str:
     """One CSV line of k floats at 17 significant digits, csv-module line ending."""
-    return ",".join(["%.17e"] * k) + "\r\n"
+    return ",".join([_FLOAT] * k) + "\r\n"
 
 
 def write_trajectory_csv(traj: Trajectory, path, *, stride: int = 1) -> None:
@@ -480,7 +446,7 @@ def write_trajectory_csv(traj: Trajectory, path, *, stride: int = 1) -> None:
     line = _row_template(1 + 4 * n)
     with open(path, "w", newline="") as fh:
         fh.write("# quaternionic trajectory: t, then node{K}_x{C} for node K, component C\n")
-        fh.write(f"# n_points = {n}, h = {traj.grid.h:.17e}, stride = {stride}\n")
+        fh.write(f"# n_points = {n}, h = {_FLOAT % traj.grid.h}, stride = {stride}\n")
         fh.write(",".join(["t"] + [f"node{kk}_x{c}" for kk in range(n) for c in range(4)]) + "\r\n")
         for idx in rows:
             fh.write(line % (traj.times[idx], *traj.values[idx].ravel().tolist()))

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConditioningError, GridMismatchError
-from .hilbert import TWO_PI, Grid, QFunction, combine, inner, norm
+from .hilbert import _FLOAT, TWO_PI, Grid, QFunction, combine, inner, norm
 
 __all__ = [
     "FamilyKind",
@@ -55,13 +55,13 @@ class FamilyKind(str, Enum):
 
 
 def _as_param(value, grid: Grid, name: str) -> float | np.ndarray:
-    """A family parameter is a real constant or a real function sampled on the grid."""
-    if np.isscalar(value):
-        return float(value)
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (grid.n_points,):
-        raise ValueError(f"{name} must be scalar or shape ({grid.n_points},), got {arr.shape}")
-    return arr
+    """A family parameter is a finite real constant or a finite real function on the grid."""
+    param = float(value) if np.isscalar(value) else np.asarray(value, dtype=float)
+    if not isinstance(param, float) and param.shape != (grid.n_points,):
+        raise ValueError(f"{name} must be scalar or shape ({grid.n_points},), got {param.shape}")
+    if not np.all(np.isfinite(param)):
+        raise ValueError(f"{name} has non-finite samples")
+    return param
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +290,13 @@ def write_expansion_csv(e: QFourierExpansion, path) -> None:
         writer.writerow(cols + ["coefficient"])
         for idx, c in zip(fam.index_set(), e.coefficients):
             parts = [idx] if isinstance(idx, int) else list(idx)
-            writer.writerow([str(p) for p in parts] + [f"{c:.17e}"])
+            writer.writerow([str(p) for p in parts] + [_FLOAT % c])
     lines = [f"kind = {fam.kind.value}", f"grid_points = {fam.grid.n_points}", f"N = {fam.N}"]
     if fam.L is not None:
         lines.append(f"L = {fam.L}")
     for name in ("phi0", "xi0", "theta0"):
         value = getattr(fam, name)
-        lines.append(f"{name} = " + (f"{value:.17e}" if np.isscalar(value) else "sampled-function"))
+        lines.append(f"{name} = " + (_FLOAT % value if np.isscalar(value) else "sampled-function"))
     if fam.indices is not None:
         lines.append("indices = " + ";".join(
             str(i) if isinstance(i, int) else ",".join(map(str, i)) for i in fam.indices))

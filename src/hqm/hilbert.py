@@ -32,6 +32,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# Format of every float in artifacts and summaries; 17 digits read back bit-exactly.
+_FLOAT = "%.17e"
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -251,7 +254,7 @@ def write_qfunction_csv(f: QFunction, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for x, row in zip(f.grid.nodes, f.values):
-            writer.writerow([f"{x:.17e}"] + [f"{v:.17e}" for v in row])
+            writer.writerow([_FLOAT % x] + [_FLOAT % v for v in row])
 
 
 def read_qfunction_csv(path) -> QFunction:

@@ -5,9 +5,15 @@ that covers left multiplication by quaternion functions, derivatives, and
 right multiplication by constant quaternions (which is real- but not
 quaternion-linear).  Every operator admits a dense (4n)x(4n) real matrix
 realization over stacked components, built lazily from impulse responses: one
-per stacked real component in general, and only the n real-unit impulses for
-the Hamiltonian, which commutes with right multiplication by constant
-quaternions, so its image of e_k u is its image of e_k times u.
+per stacked real component in general.
+
+The Hamiltonian and the generalized momentum act on the symplectic pair of
+Psi = w0 + j w1 (w0 = x0 + i x1, w1 = x2 - i x3): left multiplication by
+p0 + p1 j is the per-node block [[p0, -p1], [conj p1, conj p0]], the
+derivative a Fourier multiplier, and right multiplication by i plain
+multiplication by i.  H commutes with right multiplication by constant
+quaternions (the image of e_k u is the image of e_k times u), so its
+realization applies H once to the stack of the n real-unit impulses.
 
 Because the quadrature weights are uniform, the adjoint with respect to the
 real inner product is exactly the matrix transpose.
@@ -23,7 +29,9 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .hilbert import Grid, QFunction, inner
-from .quaternion import I, J, K, ONE, Quaternion, left_mult_matrix, qmul, right_mult_matrix
+from .quaternion import (
+    I, J, K, ONE, Quaternion, left_mult_matrix, qmul, right_mult_matrix, to_complex_pair,
+)
 
 __all__ = [
     "QOperator",
@@ -32,7 +40,6 @@ __all__ = [
     "NormalConditionsReport",
     "spectral_derivative",
     "central_derivative",
-    "apply",
     "adjoint",
     "expectation",
     "momentum_pi",
@@ -42,7 +49,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Periodic derivatives on (n, 4) component arrays
+# Periodic derivatives and the symplectic pair (w0, w1) of Psi = w0 + j w1
 # ---------------------------------------------------------------------------
 
 def spectral_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -86,7 +93,23 @@ def _derivative_symbol(deriv: str, grid: Grid) -> np.ndarray:
     return 1j * k
 
 
-_I_ARR = I.as_array()
+def _to_pair(values: np.ndarray) -> np.ndarray:
+    """(..., n, 4) components -> (..., 2, n) pair w0 = x0 + i x1, w1 = x2 - i x3."""
+    z0, z1 = to_complex_pair(values)
+    return np.stack([z0, z1.conj()], axis=-2)
+
+
+def _from_pair(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Components of w0 + j w1, written into out (shape (..., n, 4)) when given."""
+    if out is None:
+        out = np.empty(w.shape[:-2] + (w.shape[-1], 4))
+    w0, w1 = w[..., 0, :], w[..., 1, :]
+    out[..., 0] = w0.real
+    out[..., 1] = w0.imag
+    out[..., 2] = w1.real
+    np.subtract(0.0, w1.imag, out=out[..., 3])  # 0 - y, not -y: writes +0.0 for zero
+    return out
+
 
 # Right multiplication by the basis units 1, i, j, k on the four components.
 _UNIT_RIGHT = np.stack([right_mult_matrix(u) for u in (ONE, I, J, K)])
@@ -220,24 +243,18 @@ class _RightLinearOperator(QOperator):
     """An operator with T(Psi q) = T(Psi) q for every constant quaternion q.
 
     The column of the impulse e_k u (node k, basis unit u) is T(e_k) u, so
-    the n real-unit impulses e_k determine the whole realization.
+    the n real-unit impulses e_k determine the whole realization.  The action
+    must broadcast over a leading axis: it is applied once to all n impulses.
     """
 
     def _realize(self) -> np.ndarray:
         n = self.grid.n_points
-        images = np.empty((n, n, 4))  # images[k] = T(e_k)
-        impulse = np.zeros((n, 4))
-        for k in range(n):
-            impulse[k, 0] = 1.0
-            images[k] = self.apply_values(impulse)
-            impulse[k, 0] = 0.0
+        impulses = np.zeros((n, n, 4))
+        impulses[np.arange(n), np.arange(n), 0] = 1.0
+        images = self.apply_values(impulses)  # images[k] = T(e_k)
         # entry (4r + a, 4k + c) is component a at node r of T(e_k) u_c
         cols = np.einsum("cab,krb->rakc", _UNIT_RIGHT, images)
         return cols.reshape(4 * n, 4 * n)
-
-
-def apply(T: QOperator, f: QFunction) -> QFunction:
-    return T(f)
 
 
 def adjoint(T: QOperator) -> QOperator:
@@ -312,13 +329,38 @@ class HamiltonianSpec:
         return bool(np.all(self.V.imag == 0.0) and np.all(self.W == 0.0))
 
 
-def _covariant_derivative(spec: HamiltonianSpec, deriv: str) -> Callable[[np.ndarray], np.ndarray]:
-    diff = _DERIVATIVES[deriv]
-    gauge = spec.gauge_values()
-    grid = spec.grid
-    if np.all(gauge == 0.0):
-        return lambda v: diff(v, grid)
-    return lambda v: diff(v, grid) - qmul(gauge, v)
+def _pair_covariant_derivative(spec: HamiltonianSpec, deriv: str):
+    """(D - A) on (..., 2, n) complex pairs; D is _derivative_symbol along the node axis.
+
+    A = alpha i + beta j acts per node as [[i alpha, -beta], [conj beta, -i alpha]],
+    applied as col0 * w0 + col1 * w1 over its (2, n) columns.
+    """
+    symbol = _derivative_symbol(deriv, spec.grid)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    a0 = np.array([1j * spec.alpha, spec.beta.conj()])
+    a1 = np.array([-spec.beta, -1j * spec.alpha])
+
+    def d_a(w: np.ndarray) -> np.ndarray:
+        return ifft(symbol * fft(w)) - (a0 * w[..., :1, :] + a1 * w[..., 1:, :])
+
+    return d_a
+
+
+def _pair_hamiltonian(spec: HamiltonianSpec, deriv: str, scale: complex = 1.0):
+    """scale * H_c on (..., 2, n) complex pairs, with the scale folded into the coefficients.
+
+    H_c = c (D - A)(D - A) + U with c = -hbar^2/2m, and U = V + W j acts per
+    node as [[V, -W], [conj W, conj V]].
+    """
+    d_a = _pair_covariant_derivative(spec, deriv)
+    kinetic = scale * (-spec.hbar**2 / (2.0 * spec.mass))
+    u0 = scale * np.array([spec.V, spec.W.conj()])
+    u1 = scale * np.array([-spec.W, spec.V.conj()])
+
+    def h_c(w: np.ndarray) -> np.ndarray:
+        return kinetic * d_a(d_a(w)) + (u0 * w[..., :1, :] + u1 * w[..., 1:, :])
+
+    return h_c
 
 
 def momentum_pi(spec: HamiltonianSpec, deriv: str = "spectral") -> QOperator:
@@ -326,31 +368,27 @@ def momentum_pi(spec: HamiltonianSpec, deriv: str = "spectral") -> QOperator:
 
     The imaginary unit multiplies from the right; with A = 0 this is
     self-adjoint on the periodic grid and sends e^{ikx} to hbar k e^{ikx}.
+    On the symplectic pair the right factor i is multiplication by i, so the
+    action is -hbar i (D - A) w.
     """
-    d_a = _covariant_derivative(spec, deriv)
-    hbar = spec.hbar
-
-    def action(v: np.ndarray) -> np.ndarray:
-        return -hbar * qmul(d_a(v), _I_ARR)
-
-    return QOperator(spec.grid, action, "momentum")
+    d_a = _pair_covariant_derivative(spec, deriv)
+    coef = -1j * spec.hbar
+    return QOperator(spec.grid, lambda v: _from_pair(coef * d_a(_to_pair(v))), "momentum")
 
 
 def hamiltonian(spec: HamiltonianSpec, deriv: str = "spectral") -> QOperator:
     """H Psi = -(hbar^2/2m) (d/dx - A)((d/dx - A) Psi) + U Psi.
 
-    Generally neither hermitian nor anti-hermitian once W or Im V is nonzero.
-    Derivatives and left multiplications commute with right multiplication by
-    constant quaternions, so the matrix is realized from n impulses.
+    Applied as H_c on the symplectic pair of Psi; the action broadcasts over
+    leading axes of (..., n, 4) arrays.  Generally neither hermitian nor
+    anti-hermitian once W or Im V is nonzero.  Derivatives and left
+    multiplications commute with right multiplication by constant
+    quaternions, so the matrix is realized from the n real-unit impulses in
+    one batched application.
     """
-    d_a = _covariant_derivative(spec, deriv)
-    potential = spec.potential_values()
-    coef = -spec.hbar**2 / (2.0 * spec.mass)
-
-    def action(v: np.ndarray) -> np.ndarray:
-        return coef * d_a(d_a(v)) + qmul(potential, v)
-
-    return _RightLinearOperator(spec.grid, action, "hamiltonian")
+    h_c = _pair_hamiltonian(spec, deriv)
+    return _RightLinearOperator(spec.grid, lambda v: _from_pair(h_c(_to_pair(v))),
+                                "hamiltonian")
 
 
 # ---------------------------------------------------------------------------

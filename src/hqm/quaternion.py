@@ -20,8 +20,6 @@ __all__ = [
     "UnitQuaternion",
     "qmul",
     "qconj",
-    "qnorm2",
-    "qreal",
     "to_complex_pair",
     "from_complex_pair",
     "left_mult_matrix",
@@ -141,10 +139,6 @@ class UnitQuaternion:
                               self.xi + other.xi)
 
 
-def realize(u: UnitQuaternion) -> Quaternion:
-    return u.realize()
-
-
 def re_product_identity(u: UnitQuaternion, v: UnitQuaternion) -> float:
     """Closed form of Re[realize(u) * conj(realize(v))].
 
@@ -180,15 +174,6 @@ def qconj(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:] *= -1.0
     return out
-
-
-def qnorm2(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    return np.sum(a * a, axis=-1)
-
-
-def qreal(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=float)[..., 0]
 
 
 def to_complex_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

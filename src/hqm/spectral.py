@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSelfAdjointError
-from .hilbert import Grid, QFunction
+from .hilbert import _FLOAT, Grid, QFunction
 from .operators import QOperator
 
 __all__ = ["SpectralResolution", "decompose", "project", "write_spectrum_csv"]
@@ -116,4 +116,4 @@ def write_spectrum_csv(res: SpectralResolution, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["eigenvalue", "multiplicity"])
         for lam, mult in zip(res.eigenvalues, res.multiplicities):
-            writer.writerow([f"{lam:.17e}", str(int(mult))])
+            writer.writerow([_FLOAT % lam, str(int(mult))])

@@ -137,6 +137,58 @@ def right_times_i(values):
     return np.array([naive_qmul(row, _UNITS[1]) for row in values])
 
 
+def first_derivative_matrix(n, deriv):
+    """d/dx on n periodic nodes as a dense real matrix.
+
+    spectral: an explicit DFT matrix times ik, with the Nyquist mode zeroed on
+    even n; central: the periodic centered difference (psi[r+1] - psi[r-1]) / 2h.
+    """
+    if deriv == "spectral":
+        j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        F = np.exp(-2j * np.pi * j * k / n) / np.sqrt(n)
+        freqs = np.where(np.arange(n) <= n // 2, np.arange(n), np.arange(n) - n).astype(float)
+        if n % 2 == 0:
+            freqs[n // 2] = 0.0
+        return (F.conj().T @ np.diag(1j * freqs) @ F).real
+    h = 2.0 * np.pi / n
+    out = np.zeros((n, n))
+    for r in range(n):
+        out[r, (r + 1) % n] += 1.0 / (2.0 * h)
+        out[r, (r - 1) % n] -= 1.0 / (2.0 * h)
+    return out
+
+
+def _left_times(factors, values):
+    """Row r of an (n, 4) component array multiplied from the left by factors[r]."""
+    return np.array([naive_qmul(q, row) for q, row in zip(factors, values)])
+
+
+def _real_layout_covariant_derivative(alpha, beta, deriv):
+    """(d/dx - A) with A = alpha i + beta j, on (n, 4) arrays, node by node."""
+    d = first_derivative_matrix(len(alpha), deriv)
+    gauge = [(0.0, a, b.real, b.imag) for a, b in zip(alpha, beta)]
+    return lambda values: d @ values - _left_times(gauge, values)
+
+
+def real_layout_hamiltonian(alpha, beta, v, w, mass, hbar, deriv):
+    """Action of H = -(hbar^2/2m)(d/dx - A)^2 + U, U = V + W j, on (n, 4) arrays."""
+    d_a = _real_layout_covariant_derivative(alpha, beta, deriv)
+    potential = [(p.real, p.imag, q.real, q.imag) for p, q in zip(v, w)]
+    coef = -hbar**2 / (2.0 * mass)
+
+    def action(values):
+        values = np.asarray(values, dtype=float)
+        return coef * d_a(d_a(values)) + _left_times(potential, values)
+
+    return action
+
+
+def real_layout_momentum(alpha, beta, hbar, deriv):
+    """Action of Pi = -hbar ((d/dx - A) Psi) i on (n, 4) arrays, right-i row by row."""
+    d_a = _real_layout_covariant_derivative(alpha, beta, deriv)
+    return lambda values: -hbar * right_times_i(d_a(np.asarray(values, dtype=float)))
+
+
 def real_layout_rk4(h_action, hbar, values, dt, n_steps):
     """Classic RK4 on dPsi/dt = -(1/hbar)(H Psi) i in the stacked (n, 4) real layout.
 

@@ -107,6 +107,21 @@ class TestFourierCommand:
         """, tmp_path)
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("line, key", [("f_x0 = 1/(x-x)", "f_x0"),
+                                           ("theta0 = 1/(x-x)", "theta0")])
+    def test_non_finite_input_exits_2(self, capsys, tmp_path, line, key):
+        code, summary, captured, _ = run_cli(capsys, "fourier", f"""
+            grid_points = 32
+            family = ExpForm
+            N = 2
+            f_x1 = cos(x)
+            {line}
+        """, tmp_path)
+        assert code == 2
+        assert summary == {}
+        assert captured.err.strip().splitlines() == [f"config error: {key} has non-finite samples"]
+
 
 EVOLVE_REAL_U = """
     grid_points = 32
@@ -203,6 +218,33 @@ class TestEvolveCommand:
         assert code == 2
         assert summary == {}
         assert captured.err.strip().splitlines() == ["config error: V has non-finite samples"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_initial_state_exits_2(self, capsys, tmp_path):
+        code, summary, captured, _ = run_cli(capsys, "evolve", """
+            grid_points = 16
+            psi0_x0 = 1/(x-x)
+            t1 = 0.01
+            dt = 0.001
+        """, tmp_path)
+        assert code == 2
+        assert summary == {}
+        assert captured.err.strip().splitlines() == ["config error: psi0_x0 has non-finite samples"]
+
+    def test_non_finite_initial_state_file_exits_2(self, capsys, tmp_path):
+        psi_file = tmp_path / "psi0.csv"
+        rows = [f"{2 * math.pi * k / 16:.17e},{'nan' if k == 3 else '1.0'},0,0,0" for k in range(16)]
+        psi_file.write_text("x,x0,x1,x2,x3\n" + "\n".join(rows) + "\n")
+        code, summary, captured, _ = run_cli(capsys, "evolve", f"""
+            grid_points = 16
+            psi0_file = {psi_file}
+            t1 = 0.01
+            dt = 0.001
+        """, tmp_path)
+        assert code == 2
+        assert summary == {}
+        assert captured.err.strip().splitlines() == [
+            "config error: psi0_file has non-finite samples"]
 
     def test_dyson_comparison_block(self, capsys, tmp_path):
         code, summary, _, _ = run_cli(capsys, "evolve", """

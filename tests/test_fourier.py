@@ -78,6 +78,14 @@ class TestBasisElements:
         with pytest.raises(ValueError, match="duplicates"):
             phase_family(grid32, N=2, indices=(0, 0))
 
+    @pytest.mark.parametrize("name", ["phi0", "xi0", "theta0"])
+    def test_non_finite_parameters_rejected(self, grid32, name):
+        samples = np.zeros(32)
+        samples[7] = np.nan
+        for bad in (np.inf, samples):
+            with pytest.raises(ValueError, match=f"^{name} has non-finite samples$"):
+                BasisFamily(FamilyKind.EXP_FORM, grid32, N=2, **{name: bad})
+
 
 class TestGram:
     def test_phase_form_orthogonality(self, grid64):

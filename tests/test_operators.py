@@ -19,7 +19,14 @@ from hqm.operators import central_derivative, spectral_derivative
 from hqm.quaternion import I, Quaternion, qconj, qmul
 
 from conftest import plane_wave, random_complex_qfunction, random_qfunction, normalized
-from oracles import complex_expectation, complex_hamiltonian, impulse_matrix, n_impulse_matrix
+from oracles import (
+    complex_expectation,
+    complex_hamiltonian,
+    impulse_matrix,
+    n_impulse_matrix,
+    real_layout_hamiltonian,
+    real_layout_momentum,
+)
 
 
 class TestApply:
@@ -119,6 +126,31 @@ class TestRightLinearRealization:
             assert np.max(np.abs(op.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
             # the n-impulse shortcut would be wrong for them
             assert np.max(np.abs(n_impulse_matrix(op.apply_values, 7) - ref)) > 0.1
+
+
+class TestRealLayoutOracle:
+    """H and Pi against a from-scratch real-layout build: DFT or difference matrix,
+    longhand Hamilton products per node, quaternionic gauge and potential."""
+
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("deriv", ["spectral", "central"])
+    def test_hamiltonian_and_momentum_match_oracle(self, n, deriv):
+        grid = Grid(n)
+        x = grid.nodes
+        mass, hbar = 0.8, 1.3
+        alpha = 0.3 * np.sin(x) + 0.1
+        beta = 0.2 * np.cos(x) - 0.15j * np.sin(2 * x) + 0.05j
+        v = np.cos(x) + 0.4j * np.sin(x)
+        w = 0.3 * np.sin(2 * x) - 0.2j * np.cos(x)
+        spec = HamiltonianSpec(grid=grid, mass=mass, hbar=hbar, alpha=alpha, beta=beta, V=v, W=w)
+        h_ref = impulse_matrix(real_layout_hamiltonian(alpha, beta, v, w, mass, hbar, deriv), n)
+        h_op = hamiltonian(spec, deriv)
+        # the n-impulse matrix never feeds w1 != 0; the 4n-impulse one of the action does
+        for h_got in (h_op.matrix, impulse_matrix(h_op.apply_values, n)):
+            assert np.max(np.abs(h_got - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+        pi_ref = impulse_matrix(real_layout_momentum(alpha, beta, hbar, deriv), n)
+        pi_got = momentum_pi(spec, deriv).matrix
+        assert np.max(np.abs(pi_got - pi_ref)) <= 1e-12 * np.max(np.abs(pi_ref))
 
 
 class TestAdjoint:
