@@ -37,7 +37,6 @@ from .fourier import (
     FamilyKind,
     QFourierExpansion,
     analyze,
-    basis_element,
     completeness_residual,
     gram,
     read_expansion_csv,
@@ -50,7 +49,6 @@ from .operators import (
     NormalConditionsReport,
     NormalPair,
     QOperator,
-    adjoint,
     expectation,
     hamiltonian,
     momentum_pi,

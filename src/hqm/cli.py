@@ -53,6 +53,7 @@ from .fourier import (
     gram,
     synthesize,
     write_expansion_csv,
+    _gram_eigh,
 )
 from .hilbert import (
     _FLOAT, TWO_PI, Grid, QFunction, inner, norm, read_qfunction_csv, write_qfunction_csv,
@@ -243,7 +244,7 @@ def cmd_fourier(cfg: dict, out_dir: Path, args) -> int:
     off = gram_m - np.diag(np.diag(gram_m))
     _emit("family_size", family.size)
     _emit("gram_max_offdiag", float(np.max(np.abs(off))) if off.size else 0.0)
-    _emit("gram_condition", float(np.linalg.cond(gram_m)))
+    _emit("gram_condition", _gram_eigh(gram_m)[2])
     if target is None:
         return 0
     expansion = analyze(target, family, cond_cap=cfg["cond_cap"])

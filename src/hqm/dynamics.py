@@ -20,12 +20,13 @@ g = (1/hbar)[Psi i conj(Psi) conj(U) - U Psi i conj(Psi)];
 all three are real, and g vanishes identically for real potentials.  The
 fields are evaluated on blocks of stored states at a time.
 
-The time-ordered (Dyson) propagator is assembled exactly as the iterated
-series with one right factor (-i) per level.  Collapsing those factors onto
-the initial state is only legitimate when the state commutes with i, so the
-resulting operator reproduces the true evolution for complex initial data
-and deviates for genuinely quaternionic initial data; the deviation is a
-feature under test, not a bug.
+The time-ordered (Dyson) propagator is the iterated series with one right
+factor (-i) per level, applied to states on the same pair without forming
+its matrix.  Collapsing those factors onto the initial state is only
+legitimate when the state commutes with i, so the resulting operator
+reproduces the true evolution for complex initial data and deviates for
+genuinely quaternionic initial data; the deviation is a feature under test,
+not a bug.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .operators import (
     hamiltonian,
     momentum_pi,
     _DERIVATIVES,
+    _RightLinearOperator,
     _from_pair,
     _pair_hamiltonian,
     _to_pair,
@@ -51,7 +53,6 @@ from .quaternion import (
     I,
     Quaternion,
     UnitQuaternion,
-    left_mult_matrix,
     qconj,
     qmul,
     right_mult_matrix,
@@ -318,20 +319,14 @@ def superop(a, b: Quaternion, grid: Grid | None = None) -> QOperator:
     a QFunction, a Quaternion, or a real scalar; the right factor is a
     constant quaternion.  Real-linear in Psi in every case.
     """
-    b_arr = b.as_array()
-    if isinstance(a, QOperator):
-        return QOperator(a.grid, lambda v: qmul(a.apply_values(v), b_arr), "superop")
-    if isinstance(a, QFunction):
-        a_vals = a.values
-        return QOperator(a.grid, lambda v: qmul(qmul(a_vals, v), b_arr), "superop")
     if isinstance(a, (int, float)):
         a = Quaternion(float(a))
-    if isinstance(a, Quaternion):
-        if grid is None:
-            raise ValueError("grid required when the left factor is a constant")
-        a_arr = a.as_array()
-        return QOperator(grid, lambda v: qmul(qmul(a_arr, v), b_arr), "superop")
-    raise TypeError(f"unsupported left factor {type(a).__name__}")
+    if isinstance(a, (QFunction, Quaternion)):
+        a = QOperator.left_multiplication(a, grid)
+    if not isinstance(a, QOperator):
+        raise TypeError(f"unsupported left factor {type(a).__name__}")
+    b_arr = b.as_array()
+    return QOperator(a.grid, lambda v: qmul(a.apply_values(v), b_arr), "superop")
 
 
 def dyson_propagator(
@@ -347,39 +342,42 @@ def dyson_propagator(
 
     Nested simplex integrals are evaluated by iterated trapezoidal quadrature
     with n_quad nodes per level.  Each level contributes one right factor -i;
-    the assembled operator carries them as a single left factor (-i)^n per
-    term, the only form in which a propagator independent of the state exists.
+    the operator carries them as a single left factor (-i)^n per term, the
+    only form in which a propagator independent of the state exists.
     Consequently it converges to the true evolution on complex initial data
     and intentionally deviates on quaternionic initial data.
 
     H does not depend on time, so level n of the quadrature tower at node j
     is w_n[j] (H/hbar)^n, where w_n is the same trapezoid recurrence run on
-    scalar weights.  The propagator is 1 + sum_n w_n[-1] (H/hbar)^n L((-i)^n):
-    one (4n)^3 matrix product per term and O((4n)^2) memory, instead of a
-    tower of n_quad matrices.
+    scalar weights, and the propagator is
+    u(Psi) = Psi + sum_n w_n[-1] (H/hbar)^n ((-i)^n Psi).  It is an action, not
+    a matrix: on the symplectic pair w of Psi, with H_c scaled by 1/hbar and
+    P = diag(-i, i) the pair form of left multiplication by -i, Horner's rule
+    gives u = w + H_c (w_1 P w + H_c (w_2 P^2 w + ...)), n_terms applications
+    of H_c per state.  Left multiplication by a constant commutes with right
+    multiplication, so the operator is right-linear and its matrix, when
+    asked for, comes from the n real-unit impulses.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     if n_quad < 3:
         raise ValueError("n_quad must be >= 3")
-    grid = spec.grid
-    dim = 4 * grid.n_points
-    h_scaled = hamiltonian(spec, deriv).matrix / spec.hbar
+    h_c = _pair_hamiltonian(spec, deriv, scale=1.0 / spec.hbar)
     dt = (t1 - t0) / (n_quad - 1)
-
-    total = np.eye(dim)
     weights = np.ones(n_quad)
-    power = h_scaled
-    phase = Quaternion(1.0)
-    minus_i = Quaternion(0.0, -1.0)
+    coeffs = []  # w_n[-1] P^n as a (2, 1) column over the pair axis
     for level in range(1, n_terms + 1):
         weights = np.concatenate(([0.0], np.cumsum((0.5 * dt) * (weights[:-1] + weights[1:]))))
-        if level > 1:
-            power = h_scaled @ power
-        phase = phase * minus_i
-        # right factor kron(1_n, L(phase)), applied per node block
-        total += weights[-1] * (power.reshape(-1, 4) @ left_mult_matrix(phase)).reshape(dim, dim)
-    return QOperator.from_matrix(grid, total, "dyson")
+        coeffs.append(weights[-1] * np.array([[(-1j) ** level], [1j ** level]]))
+
+    def action(values: np.ndarray) -> np.ndarray:
+        w = _to_pair(values)
+        acc = coeffs[-1] * w
+        for c in reversed(coeffs[:-1]):
+            acc = c * w + h_c(acc)
+        return _from_pair(w + h_c(acc))
+
+    return _RightLinearOperator(spec.grid, action, "dyson")
 
 
 def short_time_propagator(

@@ -127,7 +127,7 @@ def parse_expression(text: str):
 def _eval(node, x: np.ndarray):
     kind = node[0]
     if kind == "num":
-        return node[1]
+        return np.float64(node[1])  # numpy arithmetic: 1/0 is inf, not ZeroDivisionError
     if kind == "var":
         return x
     if kind == "neg":
@@ -148,7 +148,12 @@ def _eval(node, x: np.ndarray):
 
 
 def evaluate(text: str, x: np.ndarray) -> np.ndarray:
-    """Evaluate an expression string over the sample points x."""
+    """Evaluate an expression string over the sample points x.
+
+    Division by zero and overflow give inf or nan samples without a numpy
+    warning; the caller rejects them and can name the config key.
+    """
     x = np.asarray(x, dtype=float)
-    return np.broadcast_to(np.asarray(_eval(parse_expression(text), x), dtype=float),
-                           x.shape).copy()
+    with np.errstate(all="ignore"):
+        values = _eval(parse_expression(text), x)
+    return np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()

@@ -34,7 +34,6 @@ __all__ = [
     "FamilyKind",
     "BasisFamily",
     "QFourierExpansion",
-    "basis_element",
     "gram",
     "analyze",
     "synthesize",
@@ -155,14 +154,17 @@ class BasisFamily:
         return np.stack([self._element_values(i) for i in self.index_set()])
 
 
-def basis_element(family: BasisFamily, index: Index) -> QFunction:
-    return family.element(index)
-
-
 def gram(family: BasisFamily) -> np.ndarray:
     """Gram matrix under the real inner product, ordered like index_set()."""
     flat = family.sample_all().reshape(family.size, -1)
     return family.grid.h * (flat @ flat.T)
+
+
+def _gram_eigh(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs of a symmetric PSD Gram matrix and its condition lam_max / lam_min
+    (inf when lam_min <= 0): one rule for analyze's contract and the CLI diagnostics."""
+    lam, vecs = np.linalg.eigh(G)
+    return lam, vecs, float(lam[-1] / lam[0]) if lam[0] > 0 else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,13 +209,9 @@ def analyze(
         return QFourierExpansion(family, b / math.sqrt(TWO_PI))
     if scaling != "exact":
         raise ValueError(f"unknown scaling {scaling!r}")
-    G = family.grid.h * (flat @ flat.T)
-    # G is symmetric positive semi-definite: one eigh gives the condition
-    # number and the solve
-    lam, vecs = np.linalg.eigh(G)
-    cond = lam[-1] / lam[0] if lam[0] > 0 else math.inf
+    lam, vecs, cond = _gram_eigh(family.grid.h * (flat @ flat.T))
     if not (cond <= cond_cap):
-        raise ConditioningError(float(cond), cond_cap)
+        raise ConditioningError(cond, cond_cap)
     coeffs = vecs @ ((vecs.T @ b) / lam)
     return QFourierExpansion(family, coeffs)
 

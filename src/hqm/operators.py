@@ -3,9 +3,11 @@
 An operator here is any map closed under real scalar combinations of inputs;
 that covers left multiplication by quaternion functions, derivatives, and
 right multiplication by constant quaternions (which is real- but not
-quaternion-linear).  Every operator admits a dense (4n)x(4n) real matrix
-realization over stacked components, built lazily from impulse responses: one
-per stacked real component in general.
+quaternion-linear).  Every action maps (..., n, 4) component arrays to
+(..., n, 4): it acts on the trailing state axes and broadcasts over leading
+ones, so a stack of states is one call.  The dense (4n)x(4n) real matrix
+realization over stacked components is built lazily from that contract: one
+application of the action to the stack of the 4n unit impulses.
 
 The Hamiltonian and the generalized momentum act on the symplectic pair of
 Psi = w0 + j w1 (w0 = x0 + i x1, w1 = x2 - i x3): left multiplication by
@@ -40,7 +42,6 @@ __all__ = [
     "NormalConditionsReport",
     "spectral_derivative",
     "central_derivative",
-    "adjoint",
     "expectation",
     "momentum_pi",
     "hamiltonian",
@@ -111,7 +112,8 @@ def _from_pair(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-# Right multiplication by the basis units 1, i, j, k on the four components.
+# Left and right multiplication by the basis units 1, i, j, k on the four components.
+_UNIT_LEFT = np.stack([left_mult_matrix(u) for u in (ONE, I, J, K)])
 _UNIT_RIGHT = np.stack([right_mult_matrix(u) for u in (ONE, I, J, K)])
 
 
@@ -120,7 +122,12 @@ _UNIT_RIGHT = np.stack([right_mult_matrix(u) for u in (ONE, I, J, K)])
 # ---------------------------------------------------------------------------
 
 class QOperator:
-    """A real-linear operator wrapping an action on raw (n, 4) value arrays."""
+    """A real-linear operator wrapping an action on raw component arrays.
+
+    The action maps (..., n, 4) to (..., n, 4) and broadcasts over the leading
+    axes; every constructor here keeps that contract, and the realization
+    relies on it.
+    """
 
     def __init__(self, grid: Grid, action: Callable[[np.ndarray], np.ndarray], name: str = ""):
         self.grid = grid
@@ -141,7 +148,8 @@ class QOperator:
         dim = 4 * grid.n_points
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got {matrix.shape}")
-        op = QOperator(grid, lambda v: (matrix @ v.ravel()).reshape(-1, 4), name)
+        op = QOperator(grid, lambda v: (v.reshape(v.shape[:-2] + (dim,)) @ matrix.T)
+                       .reshape(v.shape), name)
         op._matrix = matrix
         return op
 
@@ -214,16 +222,10 @@ class QOperator:
         return self._matrix
 
     def _realize(self) -> np.ndarray:
-        """One column per stacked real component, each the image of its unit impulse."""
+        """Column c is the image of the c-th unit impulse; all 4n in one application."""
         dim = 4 * self.grid.n_points
-        cols = np.empty((dim, dim))
-        impulse = np.zeros((self.grid.n_points, 4))
-        flat = impulse.ravel()
-        for col in range(dim):
-            flat[col] = 1.0
-            cols[:, col] = self.apply_values(impulse).ravel()
-            flat[col] = 0.0
-        return cols
+        images = self.apply_values(np.eye(dim).reshape(dim, -1, 4))
+        return np.ascontiguousarray(images.reshape(dim, dim).T)
 
     def adjoint(self) -> "QOperator":
         """Unique S with inner(T f, g) = inner(f, S g); the weighted transpose.
@@ -255,10 +257,6 @@ class _RightLinearOperator(QOperator):
         # entry (4r + a, 4k + c) is component a at node r of T(e_k) u_c
         cols = np.einsum("cab,krb->rakc", _UNIT_RIGHT, images)
         return cols.reshape(4 * n, 4 * n)
-
-
-def adjoint(T: QOperator) -> QOperator:
-    return T.adjoint()
 
 
 def expectation(O: QOperator, psi: QFunction, *, normalize: bool = False) -> float:
@@ -417,15 +415,12 @@ class NormalPair:
         return self.N0.shape[0]
 
     def realization(self) -> np.ndarray:
-        """Real 4d x 4d matrix of x -> N x (entrywise left quaternion multiplication)."""
-        d = self.dim
-        out = np.zeros((4 * d, 4 * d))
-        for a in range(d):
-            for b in range(d):
-                q = Quaternion(self.N0[a, b].real, self.N0[a, b].imag,
-                               self.N1[a, b].real, self.N1[a, b].imag)
-                out[4 * a:4 * a + 4, 4 * b:4 * b + 4] = left_mult_matrix(q)
-        return out
+        """Real 4d x 4d matrix of x -> N x (entrywise left quaternion multiplication).
+
+        The block of entry q is L(q), linear in q: a sum of four Kronecker products.
+        """
+        parts = (self.N0.real, self.N0.imag, self.N1.real, self.N1.imag)
+        return sum(np.kron(p, unit) for p, unit in zip(parts, _UNIT_LEFT))
 
 
 @dataclass(frozen=True)

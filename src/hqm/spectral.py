@@ -47,13 +47,13 @@ class SpectralResolution:
         return len(self.eigenvalues)
 
     def projection(self, k: int) -> QOperator:
-        q = self.factors[k]
-        return QOperator(self.grid, lambda v: (q @ (q.T @ v.ravel())).reshape(-1, 4),
-                         f"P[{k}]")
+        return QOperator(self.grid, lambda v: self.project_values(k, v), f"P[{k}]")
 
     def project_values(self, k: int, values: np.ndarray) -> np.ndarray:
+        """P_k on (..., n, 4) values, broadcasting over the leading axes."""
         q = self.factors[k]
-        return (q @ (q.T @ values.ravel())).reshape(-1, 4)
+        flat = values.reshape(values.shape[:-2] + (q.shape[0],))
+        return ((flat @ q) @ q.T).reshape(values.shape)
 
     def reconstruction_matrix(self) -> np.ndarray:
         """sum_k lambda_k Q_k Q_k^T as one product (Q lambda) Q^T over the stacked factors."""

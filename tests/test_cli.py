@@ -89,6 +89,18 @@ class TestFourierCommand:
         assert float(summary["condition_estimate"]) > 1e12
         assert "condition" in captured.err
 
+    def test_gram_condition_is_the_contract_condition(self, capsys, tmp_path):
+        # a full TwoIndex rectangle is rank-deficient: one stdout, one condition number
+        code, summary, _, _ = run_cli(capsys, "fourier", """
+            grid_points = 64
+            family = TwoIndex
+            N = 3
+            theta0 = 0.8
+            plant = 1 1:1.0
+        """, tmp_path)
+        assert code == 3
+        assert summary["gram_condition"] == summary["condition_estimate"]
+
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         code, _, captured, _ = run_cli(capsys, "fourier", """
             grid_points = 64
@@ -356,6 +368,32 @@ def test_import_leaves_scipy_out():
                          timeout=120, cwd=src)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, lines, reason", [
+    ("evolve", ["V_re = 1/(x-x)", "psi0_x0 = 1"], "V has non-finite samples"),
+    ("evolve", ["V_re = 1/0", "psi0_x0 = 1"], "V has non-finite samples"),
+    ("evolve", ["psi0_x0 = 1/(x-x)"], "psi0_x0 has non-finite samples"),
+    ("fourier", ["family = ExpForm", "N = 2", "f_x1 = cos(x)", "theta0 = 1/(x-x)"],
+     "theta0 has non-finite samples"),
+], ids=["V_re", "V_re-constants", "psi0_x0", "theta0"])
+def test_non_finite_expression_prints_only_the_reason(tmp_path, command, lines, reason):
+    # numpy RuntimeWarnings print to stderr only outside pytest's warning capture
+    import subprocess
+    import sys
+    from pathlib import Path
+    import hqm
+    common = {"evolve": ["grid_points = 16", "t1 = 0.01", "dt = 0.001"],
+              "fourier": ["grid_points = 32"]}[command]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("\n".join(common + lines) + "\n")
+    src = str(Path(hqm.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "hqm.cli", command, "--config", str(cfg),
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120, cwd=src)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"config error: {reason}\n"
 
 
 def test_console_entry_point_runs_in_subprocess(tmp_path):

@@ -365,20 +365,25 @@ class TestDenseReferenceForms:
     """The structured propagators against the explicit dense forms they replace."""
 
     @staticmethod
-    def spec():
-        grid = Grid(8)
+    def spec(n=8):
+        grid = Grid(n)
         x = grid.nodes
         return HamiltonianSpec(grid=grid, mass=1.3, hbar=0.7, alpha=0.2 * np.cos(x),
                                V=0.4 * np.cos(x) + 0.1j, W=0.3 - 0.2j * np.sin(x))
 
     @pytest.mark.parametrize("n_quad", [9, 17])
-    def test_dyson_matches_trapezoid_tower(self, n_quad):
-        spec = self.spec()
-        h = impulse_matrix(hamiltonian(spec).apply_values, 8)
-        ref = trapezoid_dyson_tower(h, spec.hbar, 0.0, 0.05, 4, n_quad)
-        got = dyson_propagator(spec, 0.0, 0.05, n_terms=4, n_quad=n_quad).matrix
-        assert np.linalg.norm(ref - np.eye(32)) > 0.1  # every term matters
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    def test_dyson_matches_trapezoid_tower(self, rng, n_quad):
+        # the matrix and the lazy action itself, on a quaternionic state with W != 0
+        for n, deriv in ((8, "spectral"), (7, "spectral"), (8, "central"), (7, "central")):
+            spec = self.spec(n)
+            h = impulse_matrix(hamiltonian(spec, deriv).apply_values, n)
+            ref = trapezoid_dyson_tower(h, spec.hbar, 0.0, 0.05, 4, n_quad)
+            u = dyson_propagator(spec, 0.0, 0.05, n_terms=4, n_quad=n_quad, deriv=deriv)
+            assert np.linalg.norm(ref - np.eye(4 * n)) > 0.1  # every term matters
+            assert np.linalg.norm(u.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
+            psi = random_qfunction(rng, spec.grid)
+            expected = (ref @ psi.values.ravel()).reshape(n, 4)
+            assert np.linalg.norm(u(psi).values - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("deriv", ["spectral", "central"])
     def test_short_time_matches_impulse_taylor_product(self, deriv):

@@ -11,7 +11,6 @@ from hqm import (
     QFourierExpansion,
     QFunction,
     analyze,
-    basis_element,
     completeness_residual,
     gram,
     inner,
@@ -32,7 +31,7 @@ def phase_family(grid, N=4, phi0=0.0, xi0=0.0, **kw):
 
 class TestBasisElements:
     def test_phase_form_n0_is_constant_phase(self, grid32):
-        lam = basis_element(phase_family(grid32, phi0=0.8), 0)
+        lam = phase_family(grid32, phi0=0.8).element(0)
         assert np.allclose(lam.values[:, 0], math.cos(0.8))
         assert np.allclose(lam.values[:, 1], math.sin(0.8))
         assert np.allclose(lam.values[:, 2:], 0.0)
@@ -44,7 +43,7 @@ class TestBasisElements:
         assert np.allclose(lam.z1, 0.0)
 
     def test_phase_form_n1_zero_phases(self, grid32):
-        lam = basis_element(phase_family(grid32), 1)
+        lam = phase_family(grid32).element(1)
         x = grid32.nodes
         assert np.allclose(lam.values[:, 0], np.cos(x))
         assert np.allclose(lam.values[:, 2], np.sin(x))
@@ -60,7 +59,7 @@ class TestBasisElements:
 
     def test_out_of_range_index(self, grid32):
         with pytest.raises(IndexError):
-            basis_element(phase_family(grid32, N=2), 3)
+            phase_family(grid32, N=2).element(3)
 
     def test_truncation_bound_enforced(self):
         with pytest.raises(ValueError, match="anti-aliasing"):

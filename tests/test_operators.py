@@ -8,12 +8,14 @@ from hqm import (
     NormalPair,
     QFunction,
     QOperator,
-    adjoint,
+    decompose,
+    dyson_propagator,
     expectation,
     hamiltonian,
     inner,
     momentum_pi,
     normal_conditions,
+    superop,
 )
 from hqm.operators import central_derivative, spectral_derivative
 from hqm.quaternion import I, Quaternion, qconj, qmul
@@ -128,6 +130,61 @@ class TestRightLinearRealization:
             assert np.max(np.abs(n_impulse_matrix(op.apply_values, 7) - ref)) > 0.1
 
 
+def _every_constructor(n):
+    """One operator from each way of building a QOperator, on an n-point grid."""
+    grid = Grid(n)
+    x = grid.nodes
+    rng = np.random.default_rng(n)
+    spec = HamiltonianSpec(grid=grid, mass=0.8, hbar=1.3, alpha=0.2 * np.cos(x),
+                           beta=0.1j * np.sin(x), V=np.cos(x) + 0.1j, W=0.3 - 0.2j)
+    m = rng.normal(size=(4 * n, 4 * n))
+    q = Quaternion(0.2, 0.4, -0.1, 0.9)
+    left = QOperator.left_multiplication(random_qfunction(rng, grid))
+    right = QOperator.right_multiplication(q, grid)
+    dense = QOperator.from_matrix(grid, m)
+    return {
+        "from_matrix": dense,
+        "adjoint": hamiltonian(spec).adjoint(),
+        "projection": decompose(QOperator.from_matrix(grid, m + m.T)).projection(1),
+        "sum": left + dense,
+        "scalar": 2.5 * momentum_pi(spec),
+        "superop": superop(left, q),
+        "composition": dense @ right,
+        "identity": QOperator.identity(grid),
+        "position": QOperator.position(grid),
+        "left": left,
+        "right": right,
+        "momentum": momentum_pi(spec, "central"),
+        "hamiltonian": hamiltonian(spec),
+        "dyson": dyson_propagator(spec, 0.0, 0.05, n_terms=4, n_quad=9),
+    }
+
+
+_CONSTRUCTORS = list(_every_constructor(4))
+
+
+class TestBroadcastingActions:
+    """Every action maps (..., n, 4) to (..., n, 4); .matrix is one batched application."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("name", _CONSTRUCTORS)
+    def test_matrix_is_the_impulse_realization(self, n, name):
+        op = _every_constructor(n)[name]
+        ref = impulse_matrix(op.apply_values, n)
+        assert np.max(np.abs(op.matrix - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("name", _CONSTRUCTORS)
+    def test_stack_matches_per_state(self, rng, n, name):
+        op = _every_constructor(n)[name]
+        stack = np.stack([random_qfunction(rng, op.grid).values for _ in range(3)])
+        got = op.apply_values(stack)
+        assert got.shape == stack.shape
+        for state, image in zip(stack, got):
+            single = op.apply_values(state)
+            assert np.max(np.abs(image - single)) <= 1e-13 * max(1.0, np.max(np.abs(single)))
+
+
 class TestRealLayoutOracle:
     """H and Pi against a from-scratch real-layout build: DFT or difference matrix,
     longhand Hamilton products per node, quaternionic gauge and potential."""
@@ -156,17 +213,17 @@ class TestRealLayoutOracle:
 class TestAdjoint:
     def test_identity_self_adjoint(self, grid32):
         op = QOperator.identity(grid32)
-        assert np.max(np.abs(adjoint(op).matrix - np.eye(4 * 32))) < 1e-14
+        assert np.max(np.abs(op.adjoint().matrix - np.eye(4 * 32))) < 1e-14
 
     def test_involution(self, rng, grid32):
         spec = HamiltonianSpec(grid=grid32, V=0.3 + 1.1j, W=0.2)
         op = hamiltonian(spec)
-        assert np.max(np.abs(adjoint(adjoint(op)).matrix - op.matrix)) < 1e-12
+        assert np.max(np.abs(op.adjoint().adjoint().matrix - op.matrix)) < 1e-12
 
     def test_defining_identity(self, rng, grid32):
         spec = HamiltonianSpec(grid=grid32, V=0.3 + 1.1j, W=0.2 - 0.4j, beta=0.1j)
         op = hamiltonian(spec)
-        op_adj = adjoint(op)
+        op_adj = op.adjoint()
         for _ in range(5):
             f = random_qfunction(rng, grid32)
             g = random_qfunction(rng, grid32)
@@ -176,14 +233,14 @@ class TestAdjoint:
         # adjoint of left multiplication by i is left multiplication by -i
         op = QOperator.left_multiplication(Quaternion(0, 1), grid32)
         expected = QOperator.left_multiplication(Quaternion(0, -1), grid32)
-        assert np.max(np.abs(adjoint(op).matrix - expected.matrix)) < 1e-12
+        assert np.max(np.abs(op.adjoint().matrix - expected.matrix)) < 1e-12
 
     def test_reverses_composition(self, grid32):
         a = QOperator.left_multiplication(
             QFunction.from_components(grid32, x0=np.cos(grid32.nodes), x2=0.5))
         b = QOperator.right_multiplication(Quaternion(0.2, 0.4, -0.1, 0.9), grid32)
-        lhs = adjoint(a @ b).matrix
-        rhs = (adjoint(b) @ adjoint(a)).matrix
+        lhs = (a @ b).adjoint().matrix
+        rhs = (b.adjoint() @ a.adjoint()).matrix
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
