@@ -53,6 +53,7 @@ from .fourier import (
     gram,
     synthesize,
     write_expansion_csv,
+    _INDEX_COLUMNS,
     _gram_eigh,
 )
 from .hilbert import (
@@ -113,11 +114,6 @@ def _parse_index(text: str, arity: int):
     return ints[0] if arity == 1 else tuple(ints)
 
 
-def _index_arity(kind: FamilyKind) -> int:
-    return {FamilyKind.PHASE_FORM: 1, FamilyKind.EXP_FORM: 1,
-            FamilyKind.TWO_INDEX: 2, FamilyKind.THREE_INDEX: 3}[kind]
-
-
 def _build_family(cfg: dict, grid: Grid) -> BasisFamily:
     try:
         kind = FamilyKind(cfg["family"])
@@ -125,7 +121,7 @@ def _build_family(cfg: dict, grid: Grid) -> BasisFamily:
         raise ConfigError(f"unknown family {cfg['family']!r}") from exc
     indices = None
     if cfg.get("indices"):
-        arity = _index_arity(kind)
+        arity = len(_INDEX_COLUMNS[kind])
         indices = tuple(_parse_index(p.strip(), arity)
                         for p in cfg["indices"].split(";") if p.strip())
     try:
@@ -144,7 +140,7 @@ def _build_family(cfg: dict, grid: Grid) -> BasisFamily:
 
 
 def _parse_plant(text: str, kind: FamilyKind):
-    arity = _index_arity(kind)
+    arity = len(_INDEX_COLUMNS[kind])
     indices, values = [], []
     for item in text.split(";"):
         item = item.strip()

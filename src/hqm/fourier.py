@@ -8,6 +8,10 @@ cos(a) e^{i b} + sin(a) e^{i c} j sampled on the periodic grid:
   TwoIndex    cos(theta0) e^{imx}  + sin(theta0) e^{inx} j, (m, n) in [-N, N]^2
   ThreeIndex  cos(lx) e^{imx}      + sin(lx) e^{inx} j,     |l| <= L <= N
 
+A family is sampled as one (k, n_points, 4) stack by evaluating its formula
+once over the index columns; its Gram matrix, projections <f, L> and synthesis
+are the stack products shared with `hilbert` (one gemm, one gemv, one contraction).
+
 PhaseForm and ExpForm are orthogonal with <L_n, L_n'> = 2 pi delta, even when
 their parameters are arbitrary sampled functions.  Multi-index families are
 generally non-orthogonal (TwoIndex full rectangles are exactly rank-deficient,
@@ -28,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConditioningError, GridMismatchError
-from .hilbert import _FLOAT, TWO_PI, Grid, QFunction, combine, inner, norm
+from .hilbert import _FLOAT, TWO_PI, Grid, QFunction, _combine, _gram, _project, _stack, norm
+from .quaternion import from_complex_pair
 
 __all__ = [
     "FamilyKind",
@@ -55,11 +60,13 @@ class FamilyKind(str, Enum):
 
 def _as_param(value, grid: Grid, name: str) -> float | np.ndarray:
     """A family parameter is a finite real constant or a finite real function on the grid."""
-    param = float(value) if np.isscalar(value) else np.asarray(value, dtype=float)
+    param = float(value) if np.isscalar(value) else np.array(value, dtype=float)
     if not isinstance(param, float) and param.shape != (grid.n_points,):
         raise ValueError(f"{name} must be scalar or shape ({grid.n_points},), got {param.shape}")
     if not np.all(np.isfinite(param)):
         raise ValueError(f"{name} has non-finite samples")
+    if isinstance(param, np.ndarray):  # a copy: the caller's later writes cannot reach it
+        param.flags.writeable = False
     return param
 
 
@@ -99,6 +106,8 @@ class BasisFamily:
                 raise ValueError(f"need 0 <= L <= N, got L={self.L}, N={self.N}")
         if self.indices is not None:
             idx = tuple(self.indices)
+            if not idx:
+                raise ValueError("explicit index list is empty")
             if len(set(idx)) != len(idx):
                 raise ValueError("explicit index list contains duplicates")
             full = set(self._full_range())
@@ -126,38 +135,39 @@ class BasisFamily:
     def element(self, index: Index) -> QFunction:
         if index not in set(self.index_set()):
             raise IndexError(f"index {index!r} not in this family")
-        return QFunction(self.grid, self._element_values(index))
-
-    def _element_values(self, index: Index) -> np.ndarray:
-        x = self.grid.nodes
-        if self.kind is FamilyKind.PHASE_FORM:
-            n = index
-            z0 = np.cos(n * x) * np.exp(1j * np.asarray(self.phi0))
-            z1 = np.sin(n * x) * np.exp(1j * np.asarray(self.xi0))
-        elif self.kind is FamilyKind.EXP_FORM:
-            n = index
-            z0 = np.cos(self.theta0) * np.exp(1j * n * x)
-            z1 = np.sin(self.theta0) * np.exp(-1j * n * x)
-        elif self.kind is FamilyKind.TWO_INDEX:
-            m, n = index
-            z0 = np.cos(self.theta0) * np.exp(1j * m * x)
-            z1 = np.sin(self.theta0) * np.exp(1j * n * x)
-        else:
-            l, m, n = index
-            z0 = np.cos(l * x) * np.exp(1j * m * x)
-            z1 = np.sin(l * x) * np.exp(1j * n * x)
-        z0, z1 = np.broadcast_arrays(z0 + 0j, z1 + 0j)
-        return np.stack([z0.real, z0.imag, z1.real, z1.imag], axis=-1)
+        return QFunction(self.grid, self._sample([index])[0])
 
     def sample_all(self) -> np.ndarray:
         """All elements stacked, shape (size, n_points, 4)."""
-        return np.stack([self._element_values(i) for i in self.index_set()])
+        return self._sample(self.index_set())
+
+    def _sample(self, indices: list[Index]) -> np.ndarray:
+        """The defining formula at all k indices at once, shape (k, n_points, 4); each
+        index column has shape (k, 1) and broadcasts against the nodes."""
+        x = self.grid.nodes
+        columns = np.array(indices).reshape(len(indices), -1).T[..., None]
+        if self.kind is FamilyKind.PHASE_FORM:
+            (n,) = columns
+            z0 = np.cos(n * x) * np.exp(1j * self.phi0)
+            z1 = np.sin(n * x) * np.exp(1j * self.xi0)
+        elif self.kind is FamilyKind.EXP_FORM:
+            (n,) = columns
+            z0 = np.cos(self.theta0) * np.exp(1j * n * x)
+            z1 = np.sin(self.theta0) * np.exp(-1j * n * x)
+        elif self.kind is FamilyKind.TWO_INDEX:
+            m, n = columns
+            z0 = np.cos(self.theta0) * np.exp(1j * m * x)
+            z1 = np.sin(self.theta0) * np.exp(1j * n * x)
+        else:
+            l, m, n = columns
+            z0 = np.cos(l * x) * np.exp(1j * m * x)
+            z1 = np.sin(l * x) * np.exp(1j * n * x)
+        return from_complex_pair(z0, z1)
 
 
 def gram(family: BasisFamily) -> np.ndarray:
     """Gram matrix under the real inner product, ordered like index_set()."""
-    flat = family.sample_all().reshape(family.size, -1)
-    return family.grid.h * (flat @ flat.T)
+    return _gram(family.sample_all(), family.grid.h)
 
 
 def _gram_eigh(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -203,13 +213,13 @@ def analyze(
         raise GridMismatchError(
             f"function on {f.grid.n_points} points, family on {family.grid.n_points}"
         )
-    flat = family.sample_all().reshape(family.size, -1)
-    b = family.grid.h * (flat @ f.values.ravel())
+    stack = family.sample_all()
+    b = _project(stack, f.values, family.grid.h)
     if scaling == "sqrt2pi":
         return QFourierExpansion(family, b / math.sqrt(TWO_PI))
     if scaling != "exact":
         raise ValueError(f"unknown scaling {scaling!r}")
-    lam, vecs, cond = _gram_eigh(family.grid.h * (flat @ flat.T))
+    lam, vecs, cond = _gram_eigh(_gram(stack, family.grid.h))
     if not (cond <= cond_cap):
         raise ConditioningError(cond, cond_cap)
     coeffs = vecs @ ((vecs.T @ b) / lam)
@@ -218,9 +228,7 @@ def analyze(
 
 def synthesize(e: QFourierExpansion) -> QFunction:
     """Pointwise real-weighted sum of the basis elements."""
-    stacked = e.family.sample_all()
-    values = np.tensordot(e.coefficients, stacked, axes=(0, 0))
-    return QFunction(e.family.grid, values)
+    return QFunction(e.family.grid, _combine(e.coefficients, e.family.sample_all()))
 
 
 def completeness_residual(f: QFunction, basis: BasisFamily | list[QFunction]) -> float:
@@ -236,9 +244,10 @@ def completeness_residual(f: QFunction, basis: BasisFamily | list[QFunction]) ->
     if isinstance(basis, BasisFamily):
         recon = synthesize(analyze(f, basis))
     else:
-        flat = np.stack([b.values.ravel() for b in basis])
-        coeffs, *_ = np.linalg.lstsq(flat.T, f.values.ravel(), rcond=None)
-        recon = combine(basis, coeffs)
+        stack = _stack(basis, f)
+        coeffs, *_ = np.linalg.lstsq(stack.reshape(len(basis), -1).T, f.values.ravel(),
+                                     rcond=None)
+        recon = QFunction(f.grid, _combine(coeffs, stack))
     return norm(f - recon) / nf
 
 
@@ -314,7 +323,7 @@ def read_expansion_csv(path) -> QFourierExpansion:
     indices = None
     if "indices" in meta:
         parts = meta["indices"].split(";")
-        if kind in (FamilyKind.PHASE_FORM, FamilyKind.EXP_FORM):
+        if len(_INDEX_COLUMNS[kind]) == 1:
             indices = tuple(int(p) for p in parts)
         else:
             indices = tuple(tuple(int(v) for v in p.split(",")) for p in parts)

@@ -166,15 +166,36 @@ def norm(f: QFunction) -> float:
     return math.sqrt(max(inner(f, f), 0.0))
 
 
+# Every Gram matrix, projection and real combination in hqm is one of these stack products.
+
+def _stack(fs: list[QFunction], like: QFunction) -> np.ndarray:
+    """Values of functions on the grid of `like`, as one (k, n, 4) stack."""
+    for f in fs:
+        like._check_same_grid(f)
+    return np.stack([f.values for f in fs])
+
+
+def _gram(stack: np.ndarray, h: float) -> np.ndarray:
+    """G[a, b] = <stack[a], stack[b]> as one gemm over the flattened stack."""
+    flat = stack.reshape(len(stack), -1)
+    return h * (flat @ flat.T)
+
+
+def _project(stack: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """<values, stack[a]> for every a as one gemv."""
+    return h * (stack.reshape(len(stack), -1) @ values.ravel())
+
+
+def _combine(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a coeffs[a] * stack[a]."""
+    return np.tensordot(coeffs, stack, axes=(0, 0))
+
+
 def gram_matrix(fs: list[QFunction]) -> np.ndarray:
     """Gram matrix G[a, b] = inner(fs[a], fs[b]) via one dense product."""
     if not fs:
         return np.zeros((0, 0))
-    grid = fs[0].grid
-    for f in fs[1:]:
-        fs[0]._check_same_grid(f)
-    flat = np.stack([f.values.ravel() for f in fs])
-    return grid.h * (flat @ flat.T)
+    return _gram(_stack(fs, fs[0]), fs[0].grid.h)
 
 
 def gram_schmidt(fs: list[QFunction], *, dep_tol: float = 1e-10,
@@ -219,13 +240,14 @@ def expand_in_basis(
     With check_orthonormal the basis Gram matrix must match the identity to
     gram_tol (max-entry), otherwise BasisValidationError.
     """
+    stack = _stack(basis, f)
     if check_orthonormal:
-        resid = np.max(np.abs(gram_matrix(basis) - np.eye(len(basis))))
+        resid = np.max(np.abs(_gram(stack, f.grid.h) - np.eye(len(basis))))
         if resid > gram_tol:
             raise BasisValidationError(
                 f"basis is not orthonormal: Gram residual {resid:.3e} > {gram_tol:.3e}"
             )
-    return np.array([inner(f, b) for b in basis])
+    return _project(stack, f.values, f.grid.h)
 
 
 def combine(basis: list[QFunction], coeffs) -> QFunction:
@@ -235,11 +257,7 @@ def combine(basis: list[QFunction], coeffs) -> QFunction:
         raise ValueError(f"{len(basis)} basis elements vs {coeffs.shape[0]} coefficients")
     if not basis:
         raise ValueError("empty basis")
-    acc = np.zeros_like(basis[0].values)
-    for c, b in zip(coeffs, basis):
-        basis[0]._check_same_grid(b)
-        acc = acc + c * b.values
-    return QFunction(basis[0].grid, acc)
+    return QFunction(basis[0].grid, _combine(coeffs, _stack(basis, basis[0])))
 
 
 # ---------------------------------------------------------------------------

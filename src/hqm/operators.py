@@ -236,9 +236,11 @@ class QOperator:
                                      f"adj({self.name})" if self.name else "")
 
     def asymmetry(self) -> float:
-        """Relative self-adjointness defect ||M - M^T||_F / max(1, ||M||_F)."""
-        m = self.matrix
-        return float(np.linalg.norm(m - m.T) / max(1.0, np.linalg.norm(m)))
+        """Relative self-adjointness defect ||M - M^T||_F / max(1, ||M||_F); NaN,
+        without numpy RuntimeWarnings, when the realization has non-finite entries."""
+        with np.errstate(invalid="ignore"):
+            m = self.matrix
+            return float(np.linalg.norm(m - m.T) / max(1.0, np.linalg.norm(m)))
 
 
 class _RightLinearOperator(QOperator):

@@ -45,6 +45,24 @@ def three_index_element(x, l, m, n):
     return np.stack([z0.real, z0.imag, z1.real, z1.imag], axis=-1)
 
 
+def family_element(kind, x, index, phi0=0.0, xi0=0.0, theta0=0.0):
+    """One element of the named Fourier family at one index, as an (n_points, 4)
+    array, straight from the family's defining formula."""
+    if kind == "ThreeIndex":
+        return three_index_element(x, *index)
+    if kind == "PhaseForm":
+        z0 = np.cos(index * x) * np.exp(1j * np.asarray(phi0))
+        z1 = np.sin(index * x) * np.exp(1j * np.asarray(xi0))
+    elif kind == "ExpForm":
+        z0 = np.cos(theta0) * np.exp(1j * index * x)
+        z1 = np.sin(theta0) * np.exp(-1j * index * x)
+    else:
+        m, n = index
+        z0 = np.cos(theta0) * np.exp(1j * m * x)
+        z1 = np.sin(theta0) * np.exp(1j * n * x)
+    return np.stack([z0.real, z0.imag, z1.real, z1.imag], axis=-1)
+
+
 def brute_force_gram(x, h, elements):
     """Gram matrix by nested loops over element pairs and grid nodes."""
     size = len(elements)

@@ -134,6 +134,18 @@ class TestFourierCommand:
         assert summary == {}
         assert captured.err.strip().splitlines() == [f"config error: {key} has non-finite samples"]
 
+    def test_empty_index_list_exits_2(self, capsys, tmp_path):
+        code, summary, captured, _ = run_cli(capsys, "fourier", """
+            grid_points = 32
+            family = ExpForm
+            N = 2
+            indices = ;
+            f_x1 = cos(x)
+        """, tmp_path)
+        assert code == 2
+        assert summary == {}
+        assert captured.err.strip().splitlines() == ["config error: explicit index list is empty"]
+
 
 EVOLVE_REAL_U = """
     grid_points = 32
@@ -394,6 +406,24 @@ def test_non_finite_expression_prints_only_the_reason(tmp_path, command, lines, 
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == f"config error: {reason}\n"
+
+
+def test_non_finite_multiplication_prints_only_the_reason(tmp_path):
+    # the NaN asymmetry is the documented outcome, so numpy must not warn first
+    import subprocess
+    import sys
+    from pathlib import Path
+    import hqm
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("grid_points = 8\noperator = multiplication\nv = 1/(x-x)\n")
+    src = str(Path(hqm.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "hqm.cli", "spectral", "--config", str(cfg),
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120, cwd=src)
+    assert out.returncode == 3
+    assert out.stdout == "asymmetry = nan\n"
+    assert out.stderr == ("numerical contract failure: operator is not self-adjoint: "
+                          "relative asymmetry is NaN (non-finite entries), tolerance 1.000e-08\n")
 
 
 def test_console_entry_point_runs_in_subprocess(tmp_path):

@@ -22,7 +22,7 @@ from hqm import (
 )
 
 from conftest import TWO_PI, random_qfunction
-from oracles import brute_force_gram, three_index_element
+from oracles import brute_force_gram, family_element, three_index_element
 
 
 def phase_family(grid, N=4, phi0=0.0, xi0=0.0, **kw):
@@ -76,6 +76,8 @@ class TestBasisElements:
             phase_family(grid32, N=2, indices=(0, 5))
         with pytest.raises(ValueError, match="duplicates"):
             phase_family(grid32, N=2, indices=(0, 0))
+        with pytest.raises(ValueError, match="empty"):
+            phase_family(grid32, N=2, indices=())
 
     @pytest.mark.parametrize("name", ["phi0", "xi0", "theta0"])
     def test_non_finite_parameters_rejected(self, grid32, name):
@@ -84,6 +86,35 @@ class TestBasisElements:
         for bad in (np.inf, samples):
             with pytest.raises(ValueError, match=f"^{name} has non-finite samples$"):
                 BasisFamily(FamilyKind.EXP_FORM, grid32, N=2, **{name: bad})
+
+
+    def test_parameters_do_not_alias_the_callers_array(self, grid32):
+        phi0 = np.linspace(0.0, 1.0, 32)
+        fam = phase_family(grid32, N=2, phi0=phi0)
+        before = fam.sample_all()
+        phi0[3] = np.nan
+        assert np.array_equal(fam.sample_all(), before)
+        with pytest.raises(ValueError):
+            fam.phi0[3] = 0.0
+
+
+class TestSampler:
+    @pytest.mark.parametrize("n", [17, 32])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["constant", "sampled"])
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+    def test_matches_per_index_formula(self, rng, kind, sampled, n):
+        grid = Grid(n)
+        params = {name: rng.uniform(-4.0, 4.0, n) if sampled else float(rng.uniform(-4.0, 4.0))
+                  for name in ("phi0", "xi0", "theta0")}
+        L = 1 if kind is FamilyKind.THREE_INDEX else None
+        full = BasisFamily(kind, grid, N=3, L=L, **params).index_set()
+        for subset in (None, tuple(full[::3]), (full[-1],)):
+            fam = BasisFamily(kind, grid, N=3, L=L, indices=subset, **params)
+            expected = np.stack([family_element(kind.value, grid.nodes, i, **params)
+                                 for i in fam.index_set()])
+            assert np.array_equal(fam.sample_all(), expected)
+            for i, values in zip(fam.index_set(), expected):
+                assert np.array_equal(fam.element(i).values, values)
 
 
 class TestGram:

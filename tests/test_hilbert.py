@@ -12,6 +12,7 @@ from hqm import (
     QFunction,
     RankDeficiencyError,
     combine,
+    completeness_residual,
     expand_in_basis,
     gram_matrix,
     gram_schmidt,
@@ -193,6 +194,32 @@ class TestExpandInBasis:
             expand_in_basis(QFunction.constant(grid32, 1.0), skewed)
         # but passes with the check disabled
         expand_in_basis(QFunction.constant(grid32, 1.0), skewed, check_orthonormal=False)
+
+
+class TestBasisStack:
+    def test_products_match_per_element_loops(self, rng, grid32):
+        basis = [random_qfunction(rng, grid32) for _ in range(5)]
+        f = random_qfunction(rng, grid32)
+        expected = np.array([naive_inner(f.values, b.values, grid32.h) for b in basis])
+        coeffs = expand_in_basis(f, basis, check_orthonormal=False)
+        assert np.max(np.abs(coeffs - expected)) < 1e-13 * np.max(np.abs(expected))
+        gram = np.array([[naive_inner(a.values, b.values, grid32.h) for b in basis]
+                         for a in basis])
+        assert np.max(np.abs(gram_matrix(basis) - gram)) < 1e-13 * np.max(np.abs(gram))
+        weights = rng.normal(size=len(basis))
+        acc = np.zeros((grid32.n_points, 4))
+        for c, b in zip(weights, basis):
+            acc = acc + c * b.values
+        assert np.max(np.abs(combine(basis, weights).values - acc)) < 1e-13 * np.max(np.abs(acc))
+
+    def test_grids_are_checked(self, grid32):
+        one, other = QFunction.constant(grid32, 1.0), QFunction.constant(Grid(16), 1.0)
+        for call in (lambda: gram_matrix([one, other]),
+                     lambda: expand_in_basis(other, [one], check_orthonormal=False),
+                     lambda: combine([one, other], [1.0, 1.0]),
+                     lambda: completeness_residual(other, [one])):
+            with pytest.raises(GridMismatchError):
+                call()
 
 
 class TestPointwiseOps:

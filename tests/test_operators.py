@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hqm import (
     Grid,
@@ -17,13 +19,14 @@ from hqm import (
     normal_conditions,
     superop,
 )
-from hqm.operators import central_derivative, spectral_derivative
+from hqm.operators import _derivative_symbol, central_derivative, spectral_derivative
 from hqm.quaternion import I, Quaternion, qconj, qmul
 
 from conftest import plane_wave, random_complex_qfunction, random_qfunction, normalized
 from oracles import (
     complex_expectation,
     complex_hamiltonian,
+    first_derivative_matrix,
     impulse_matrix,
     n_impulse_matrix,
     real_layout_hamiltonian,
@@ -381,6 +384,22 @@ class TestDerivatives:
             got = central_derivative(values, g)
             errs.append(np.max(np.abs(got[:, 0] - np.cos(g.nodes))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+    @given(st.integers(4, 40), st.sampled_from(["spectral", "central"]), st.integers(0, 2**32 - 1))
+    def test_nyquist_convention_agrees(self, n, deriv, seed):
+        # the node-space derivative, the FFT symbol and the dense oracle must agree,
+        # including how an even grid treats its Nyquist mode
+        grid = Grid(n)
+        values = np.random.default_rng(seed).normal(size=(3, n, 4))
+        expected = np.einsum("rs,bsc->brc", first_derivative_matrix(n, deriv), values)
+        derivative = {"spectral": spectral_derivative, "central": central_derivative}[deriv]
+        direct = derivative(values, grid)
+        rows = np.swapaxes(values, -1, -2)
+        via_symbol = np.fft.ifft(_derivative_symbol(deriv, grid) * np.fft.fft(rows))
+        scale = max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(direct - expected)) < 1e-12 * scale
+        assert np.max(np.abs(np.swapaxes(via_symbol.real, -1, -2) - expected)) < 1e-12 * scale
+        assert np.max(np.abs(via_symbol.imag)) < 1e-12 * scale
 
 
 class TestHamiltonianSpec:
