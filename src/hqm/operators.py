@@ -13,9 +13,10 @@ The Hamiltonian and the generalized momentum act on the symplectic pair of
 Psi = w0 + j w1 (w0 = x0 + i x1, w1 = x2 - i x3): left multiplication by
 p0 + p1 j is the per-node block [[p0, -p1], [conj p1, conj p0]], the
 derivative a Fourier multiplier, and right multiplication by i plain
-multiplication by i.  H commutes with right multiplication by constant
-quaternions (the image of e_k u is the image of e_k times u), so its
-realization applies H once to the stack of the n real-unit impulses.
+multiplication by i.  H and left multiplications commute with right
+multiplication by constant quaternions (the image of e_k u is the image of
+e_k times u), so their realization applies the action once to the stack of
+the n real-unit impulses.
 
 Because the quadrature weights are uniform, the adjoint with respect to the
 real inner product is exactly the matrix transpose.
@@ -155,14 +156,18 @@ class QOperator:
 
     @staticmethod
     def left_multiplication(factor: QFunction | Quaternion, grid: Grid | None = None) -> "QOperator":
-        """Psi -> a Psi for a quaternion constant or sampled function a."""
+        """Psi -> a Psi for a quaternion constant or sampled function a.
+
+        Commutes with right multiplication by constant quaternions, so the
+        matrix comes from the n real-unit impulses.
+        """
         if isinstance(factor, QFunction):
             values = factor.values
-            return QOperator(factor.grid, lambda v: qmul(values, v), "left-mult")
+            return _RightLinearOperator(factor.grid, lambda v: qmul(values, v), "left-mult")
         if grid is None:
             raise ValueError("grid required for a constant factor")
         arr = factor.as_array()
-        return QOperator(grid, lambda v: qmul(arr, v), "left-mult")
+        return _RightLinearOperator(grid, lambda v: qmul(arr, v), "left-mult")
 
     @staticmethod
     def right_multiplication(q: Quaternion, grid: Grid) -> "QOperator":

@@ -285,3 +285,23 @@ def projection_sum(eigenvalues, factors):
     for lam, q in zip(eigenvalues, factors):
         out += lam * (q @ q.T)
     return out
+
+
+def cluster_projectors(action, n_points, tol=1e-8):
+    """Eigenvalues and orthogonal projectors of a self-adjoint real-linear action.
+
+    The action is realized from all 4n unit impulses and diagonalized by one
+    real numpy eigh; adjacent eigenvalues closer than tol * max(1, |a|, |b|)
+    form one cluster, whose mean and projector V V^T are returned.
+    """
+    m = impulse_matrix(action, n_points)
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    groups = [[0]]
+    for i in range(1, len(vals)):
+        a, b = vals[i - 1], vals[i]
+        if abs(b - a) < tol * max(1.0, abs(a), abs(b)):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return (np.array([np.mean(vals[g]) for g in groups]),
+            [vecs[:, g] @ vecs[:, g].T for g in groups])

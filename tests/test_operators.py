@@ -116,6 +116,13 @@ class TestRightLinearRealization:
         generic = QOperator(h.grid, h.apply_values).matrix
         assert np.max(np.abs(h.matrix - generic)) <= 1e-13 * np.max(np.abs(generic))
 
+    @pytest.mark.parametrize("n", [7, 8, 33])
+    def test_left_multiplication_matches_generic_realization(self, rng, n):
+        grid = Grid(n)
+        for op in (QOperator.left_multiplication(random_qfunction(rng, grid)),
+                   QOperator.left_multiplication(Quaternion(0.2, -0.4, 0.1, 0.9), grid)):
+            assert np.array_equal(op.matrix, QOperator(grid, op.apply_values).matrix)
+
     def test_hamiltonian_commutes_with_right_units(self, rng):
         h = hamiltonian(self.full_spec(8))
         f = random_qfunction(rng, h.grid)

@@ -3,6 +3,7 @@ import pytest
 
 from hqm import (
     Grid,
+    GridMismatchError,
     HamiltonianSpec,
     NotSelfAdjointError,
     QFunction,
@@ -16,10 +17,11 @@ from hqm import (
     write_spectrum_csv,
 )
 
+from hqm.quaternion import Quaternion
 from hqm.spectral import _fix_signs
 
 from conftest import random_qfunction, normalized
-from oracles import loop_fix_signs, projection_sum
+from oracles import cluster_projectors, loop_fix_signs, projection_sum, real_layout_hamiltonian
 
 
 def random_self_adjoint(rng, grid, scale=1.0):
@@ -64,10 +66,69 @@ class TestDecompose:
         with pytest.raises(NotSelfAdjointError) as exc:
             decompose(hamiltonian(spec))
         assert exc.value.asymmetry > 1e-6
+        # left multiplication by a non-real factor is right-linear but not self-adjoint
+        with pytest.raises(NotSelfAdjointError):
+            decompose(QOperator.left_multiplication(Quaternion(1.0, 0.5), grid32))
 
     def test_eigenvalues_are_real_floats(self, rng):
         res = decompose(random_self_adjoint(rng, Grid(6)))
         assert res.eigenvalues.dtype == np.float64
+
+
+class TestKramersPairedSolve:
+    """Right-linear operators are solved on the complex pair: an n x n eigh in the
+    complex sector, 2n x 2n otherwise.  Checked against the projectors of a 4n
+    real eigh of the from-scratch real-layout Hamiltonian."""
+
+    @pytest.fixture
+    def eigh_sizes(self, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return sizes
+
+    @pytest.mark.parametrize("n", [7, 8, 16])
+    @pytest.mark.parametrize("deriv", ["spectral", "central"])
+    @pytest.mark.parametrize("branch", ["general", "sector"])
+    def test_matches_real_eigh_projectors(self, eigh_sizes, n, deriv, branch):
+        grid = Grid(n)
+        x = grid.nodes
+        alpha = 0.3 * np.sin(x) + 0.1
+        if branch == "general":  # complex sampled beta, real V
+            beta = 0.2 * np.cos(x) - 0.15j * np.sin(2 * x) + 0.05j
+            v = np.cos(x) + 0.3 * np.sin(2 * x)
+        else:  # alpha only
+            beta, v = np.zeros(n, complex), np.zeros(n)
+        mass, hbar = 0.8, 1.3
+        ref_vals, ref_proj = cluster_projectors(
+            real_layout_hamiltonian(alpha, beta, v, np.zeros(n, complex), mass, hbar, deriv), n)
+        h = hamiltonian(HamiltonianSpec(grid=grid, mass=mass, hbar=hbar,
+                                        alpha=alpha, beta=beta, V=v), deriv)
+        eigh_sizes.clear()  # drop the oracle's call
+        res = decompose(h)
+        assert eigh_sizes == [n if branch == "sector" else 2 * n]
+
+        assert res.n_spaces == len(ref_vals)
+        assert np.all(np.abs(res.eigenvalues - ref_vals) <= 1e-12 * np.maximum(1.0, np.abs(ref_vals)))
+        assert np.all(res.multiplicities % 4 == 0)
+        for k, p_ref in enumerate(ref_proj):
+            assert np.max(np.abs(res.projection(k).matrix - p_ref)) <= 1e-10
+        q = np.hstack(res.factors)
+        assert np.max(np.abs(q.T @ q - np.eye(4 * n))) <= 1e-12
+
+    def test_left_multiplication_takes_sector_path(self, eigh_sizes):
+        grid = Grid(8)
+        v = np.cos(grid.nodes)
+        res = decompose(QOperator.left_multiplication(QFunction.from_components(grid, x0=v)))
+        assert eigh_sizes == [8]
+        assert np.array_equal(res.multiplicities, [4, 8, 8, 8, 4])
+        s = np.sqrt(0.5)
+        assert np.allclose(res.eigenvalues, [-1.0, -s, 0.0, s, 1.0], rtol=0, atol=1e-14)
 
 
 class TestResolutionInvariants:
@@ -154,6 +215,22 @@ class TestProject:
         res = decompose(QOperator.identity(grid))
         with pytest.raises(IndexError):
             project(res, 5, QFunction.constant(grid, 1.0))
+
+    @pytest.mark.parametrize("k", [-1, -8, 8])
+    def test_index_outside_range_rejected_everywhere(self, k):
+        grid = Grid(8)
+        res = decompose(QOperator.position(grid))
+        assert res.n_spaces == 8
+        f = QFunction.constant(grid, 1.0)
+        for call in (lambda: res.projection(k), lambda: res.project_values(k, f.values),
+                     lambda: res.eigenfunctions(k), lambda: project(res, k, f)):
+            with pytest.raises(IndexError):
+                call()
+
+    def test_grid_mismatch(self):
+        res = decompose(QOperator.identity(Grid(8)))
+        with pytest.raises(GridMismatchError):
+            project(res, 0, QFunction.constant(Grid(9), 1.0))
 
 
 class TestDeterminism:
